@@ -1,19 +1,20 @@
 //! Deterministic fault injection for back-ends.
 //!
-//! [`ChaosBackend`] wraps any [`Backend`] and injects a configured
-//! fault — an error, a panic, or a delay — according to a deterministic
-//! schedule: on the Nth compile job, on every job, or pseudo-randomly
-//! from a seed. The compilation service's fault-tolerance layer (panic
-//! isolation, compile deadlines, retry policy, fallback chain) is
-//! driven end-to-end by tests built on this wrapper; nothing in here is
-//! used on the production compile path.
+//! [`ChaosBackend`] wraps any [`Backend`] and injects one configured
+//! [`ChaosFault`] on a deterministic schedule: on the Nth call, on every
+//! call, or pseudo-randomly from a seed. The fault names its site and
+//! the schedule counts calls at that site only:
 //!
-//! [`ChaosExecBackend`] is the execution-phase counterpart: compiles
-//! pass through untouched, but every `main` (per-morsel) call of the
-//! produced executables can panic, trap, stall, or inflate its reported
-//! cycle cost on the same deterministic schedules. It drives the
-//! engine's *execution* fault envelope — worker panic isolation, query
-//! budgets, the runaway governor, and the serving-path circuit breaker.
+//! * **compile call** faults (error, panic, delay) drive the compilation
+//!   service's fault-tolerance layer — panic isolation, compile
+//!   deadlines, retry policy, fallback chain;
+//! * **morsel call** faults (panic, trap, delay, cycle burn) fire inside
+//!   the `main` calls of the produced executables (`setup`/`finish` stay
+//!   clean so pipelines always reach the morsel loop) and drive the
+//!   execution fault envelope — worker panic isolation, query budgets,
+//!   the runaway governor, and the serving-path circuit breaker.
+//!
+//! Nothing in here is used on the production path.
 
 use crate::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
 use qc_ir::Module;
@@ -24,24 +25,57 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What [`ChaosBackend`] injects when its schedule fires.
+/// What [`ChaosBackend`] injects when its schedule fires, and where.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosFault {
-    /// Return a [`BackendError`] of kind `Transient` (retryable).
-    TransientError,
-    /// Return a [`BackendError`] of kind `Permanent` (not retryable;
-    /// forces a tier downgrade under a fallback chain).
-    PermanentError,
-    /// Panic inside the compile call. The service must catch this,
-    /// convert it to a `Panic`-kind error, and keep its workers alive.
-    Panic,
-    /// Sleep for the given duration before compiling normally, driving
-    /// compile-deadline overruns.
-    Delay(Duration),
+    /// Compile call: return a [`BackendError`] of kind `Transient`
+    /// (retryable).
+    CompileTransient,
+    /// Compile call: return a [`BackendError`] of kind `Permanent` (not
+    /// retryable; forces a tier downgrade under a fallback chain).
+    CompilePermanent,
+    /// Compile call: panic. The service must catch this, convert it to
+    /// a `Panic`-kind error, and keep its workers alive.
+    CompilePanic,
+    /// Compile call: sleep for the given duration, then compile
+    /// normally, driving compile-deadline overruns.
+    CompileDelay(Duration),
+    /// Morsel call: panic. The morsel executor must contain this with
+    /// its per-worker `catch_unwind`, replay the lost morsels, and keep
+    /// the merged result byte-identical.
+    MorselPanic,
+    /// Morsel call: return [`Trap::Runtime`] with the given code, as a
+    /// miscompiled or resource-starved kernel would. Drives the serving
+    /// scheduler's per-tier circuit breaker.
+    MorselTrap(u8),
+    /// Morsel call: sleep for the given duration, then execute
+    /// normally, driving query-deadline overruns without corrupting
+    /// results.
+    MorselDelay(Duration),
+    /// Morsel call: execute normally but inflate the executable's
+    /// reported cycle count by this much per injection. Results stay
+    /// correct; only the modeled cost lies, which is exactly what the
+    /// runaway governor and cycle budgets must react to.
+    MorselBurnCycles(u64),
 }
 
-/// When the fault fires, as a function of the 0-based compile-call
-/// index (each module compile — fresh or retried — is one call).
+impl ChaosFault {
+    /// Whether the fault fires in compile calls (otherwise in morsel
+    /// `main` calls).
+    fn at_compile(self) -> bool {
+        matches!(
+            self,
+            ChaosFault::CompileTransient
+                | ChaosFault::CompilePermanent
+                | ChaosFault::CompilePanic
+                | ChaosFault::CompileDelay(_)
+        )
+    }
+}
+
+/// When the fault fires, as a function of the 0-based call index at
+/// the fault's site (each module compile — fresh or retried — or each
+/// morsel `main` call is one call).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Schedule {
     /// Exactly the Nth call.
@@ -63,75 +97,21 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A fault-injecting [`Backend`] wrapper with a deterministic schedule.
-///
-/// The wrapper reports the inner back-end's `name` and `isa` so that
-/// downgrade records and compile stats name the real tier, but mixes
-/// the fault plan into `config_fingerprint` so chaos-compiled artifacts
-/// never alias clean cache entries.
-pub struct ChaosBackend {
-    inner: Arc<dyn Backend>,
+/// The fault plan: fault, schedule, and the call counters. Shared
+/// (`Arc`) with every artifact and executable the back-end produces —
+/// including re-links of a cached artifact — so a morsel schedule
+/// indexes `main` calls across a whole serving run, not per executable.
+#[derive(Debug)]
+struct Plan {
     fault: ChaosFault,
     schedule: Schedule,
     calls: AtomicU64,
     injected: AtomicU64,
 }
 
-impl std::fmt::Debug for ChaosBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ChaosBackend({}, {:?}, {:?}, {} injected)",
-            self.inner.name(),
-            self.fault,
-            self.schedule,
-            self.injected.load(Ordering::Relaxed)
-        )
-    }
-}
-
-impl ChaosBackend {
-    fn with_schedule(inner: Arc<dyn Backend>, fault: ChaosFault, schedule: Schedule) -> Self {
-        ChaosBackend {
-            inner,
-            fault,
-            schedule,
-            calls: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
-        }
-    }
-
-    /// Injects `fault` on the `n`-th (0-based) compile call only.
-    pub fn on_nth(inner: Arc<dyn Backend>, n: u64, fault: ChaosFault) -> Self {
-        Self::with_schedule(inner, fault, Schedule::Nth(n))
-    }
-
-    /// Injects `fault` on every compile call.
-    pub fn always(inner: Arc<dyn Backend>, fault: ChaosFault) -> Self {
-        Self::with_schedule(inner, fault, Schedule::Always)
-    }
-
-    /// Injects `fault` on each call independently with probability
-    /// `permille`/1000, deterministically derived from `seed` and the
-    /// call index.
-    pub fn seeded(inner: Arc<dyn Backend>, seed: u64, permille: u16, fault: ChaosFault) -> Self {
-        Self::with_schedule(inner, fault, Schedule::Seeded { seed, permille })
-    }
-
-    /// Total compile calls observed so far.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Decides whether the fault fires for the next call and, when it
-    /// is an error or panic fault, raises it. `Delay` faults sleep and
-    /// then let the inner back-end compile normally.
-    fn maybe_inject(&self) -> Result<(), BackendError> {
+impl Plan {
+    /// Counts one call; returns its 0-based index when the fault fires.
+    fn fires(&self) -> Option<u64> {
         let n = self.calls.fetch_add(1, Ordering::Relaxed);
         let fire = match self.schedule {
             Schedule::Nth(k) => n == k,
@@ -140,23 +120,78 @@ impl ChaosBackend {
                 (splitmix64(seed ^ n) % 1000) < u64::from(permille)
             }
         };
-        if !fire {
-            return Ok(());
+        if fire {
+            self.injected.fetch_add(1, Ordering::Relaxed);
         }
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        match self.fault {
-            ChaosFault::TransientError => Err(BackendError::transient(format!(
-                "chaos: injected transient fault on call {n}"
-            ))),
-            ChaosFault::PermanentError => Err(BackendError::new(format!(
-                "chaos: injected fault on call {n}"
-            ))),
-            ChaosFault::Panic => panic!("chaos: injected panic on call {n}"),
-            ChaosFault::Delay(d) => {
-                std::thread::sleep(d);
-                Ok(())
-            }
+        fire.then_some(n)
+    }
+}
+
+/// A fault-injecting [`Backend`] wrapper with a deterministic schedule.
+///
+/// The wrapper reports the inner back-end's `name` and `isa` so that
+/// downgrade records and compile stats name the real tier, but mixes
+/// the fault plan into `config_fingerprint` so chaos-compiled artifacts
+/// never alias clean cache entries. Under parallel execution the *set*
+/// of faulted morsel-call indices is fixed even though their thread
+/// assignment is not.
+pub struct ChaosBackend {
+    inner: Arc<dyn Backend>,
+    plan: Arc<Plan>,
+}
+
+impl std::fmt::Debug for ChaosBackend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ChaosBackend({}, {:?}, {:?}, {} injected)",
+            self.inner.name(),
+            self.plan.fault,
+            self.plan.schedule,
+            self.injected()
+        )
+    }
+}
+
+impl ChaosBackend {
+    fn with_schedule(inner: Arc<dyn Backend>, fault: ChaosFault, schedule: Schedule) -> Self {
+        ChaosBackend {
+            inner,
+            plan: Arc::new(Plan {
+                fault,
+                schedule,
+                calls: AtomicU64::new(0),
+                injected: AtomicU64::new(0),
+            }),
         }
+    }
+
+    /// Injects `fault` on the `n`-th (0-based) call at its site only.
+    pub fn on_nth(inner: Arc<dyn Backend>, n: u64, fault: ChaosFault) -> Self {
+        Self::with_schedule(inner, fault, Schedule::Nth(n))
+    }
+
+    /// Injects `fault` on every call at its site.
+    pub fn always(inner: Arc<dyn Backend>, fault: ChaosFault) -> Self {
+        Self::with_schedule(inner, fault, Schedule::Always)
+    }
+
+    /// Injects `fault` on each call at its site independently with
+    /// probability `permille`/1000, deterministically derived from
+    /// `seed` and the call index.
+    pub fn seeded(inner: Arc<dyn Backend>, seed: u64, permille: u16, fault: ChaosFault) -> Self {
+        Self::with_schedule(inner, fault, Schedule::Seeded { seed, permille })
+    }
+
+    /// Total calls observed at the fault's site, across all produced
+    /// executables for a morsel fault.
+    pub fn calls(&self) -> u64 {
+        self.plan.calls.load(Ordering::Relaxed)
+    }
+
+    /// Faults injected so far.
+    pub fn injected(&self) -> u64 {
+        self.plan.injected.load(Ordering::Relaxed)
     }
 }
 
@@ -170,28 +205,24 @@ impl Backend for ChaosBackend {
     }
 
     fn config_fingerprint(&self) -> u64 {
-        let plan = match self.schedule {
+        let schedule = match self.plan.schedule {
             Schedule::Nth(k) => splitmix64(k ^ 1),
             Schedule::Always => splitmix64(2),
             Schedule::Seeded { seed, permille } => splitmix64(seed ^ u64::from(permille) ^ 3),
         };
-        let fault = match self.fault {
-            ChaosFault::TransientError => 1,
-            ChaosFault::PermanentError => 2,
-            ChaosFault::Panic => 3,
-            ChaosFault::Delay(d) => splitmix64(4 ^ d.as_nanos() as u64),
+        let nanos = |d: Duration| d.as_nanos() as u64;
+        let fault = match self.plan.fault {
+            ChaosFault::CompileTransient => 1,
+            ChaosFault::CompilePermanent => 2,
+            ChaosFault::CompilePanic => 3,
+            ChaosFault::CompileDelay(d) => splitmix64(4 ^ nanos(d)),
+            ChaosFault::MorselPanic => 5,
+            ChaosFault::MorselTrap(code) => splitmix64(6 ^ u64::from(code)),
+            ChaosFault::MorselDelay(d) => splitmix64(7 ^ nanos(d)),
+            ChaosFault::MorselBurnCycles(c) => splitmix64(8 ^ c),
         };
         // Never alias the clean back-end's cache entries.
-        self.inner.config_fingerprint() ^ plan ^ fault ^ 0x4348_414f_5321
-    }
-
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        self.maybe_inject()?;
-        self.inner.compile(module, trace)
+        self.inner.config_fingerprint() ^ schedule ^ fault ^ 0x4348_414f_5321
     }
 
     fn compile_artifact(
@@ -199,200 +230,50 @@ impl Backend for ChaosBackend {
         module: &Module,
         trace: &TimeTrace,
     ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
-        self.maybe_inject()?;
+        if !self.plan.fault.at_compile() {
+            return Ok(self.inner.compile_artifact(module, trace)?.map(
+                |inner| -> Box<dyn CodeArtifact> {
+                    Box::new(ChaosArtifact {
+                        inner,
+                        plan: Arc::clone(&self.plan),
+                    })
+                },
+            ));
+        }
+        if let Some(n) = self.plan.fires() {
+            match self.plan.fault {
+                ChaosFault::CompileTransient => {
+                    return Err(BackendError::transient(format!(
+                        "chaos: injected transient fault on call {n}"
+                    )))
+                }
+                ChaosFault::CompilePermanent => {
+                    return Err(BackendError::new(format!(
+                        "chaos: injected fault on call {n}"
+                    )))
+                }
+                ChaosFault::CompilePanic => panic!("chaos: injected panic on call {n}"),
+                ChaosFault::CompileDelay(d) => std::thread::sleep(d),
+                _ => unreachable!("morsel faults never fire at compile"),
+            }
+        }
         self.inner.compile_artifact(module, trace)
     }
 }
 
-/// What [`ChaosExecBackend`] injects into a `main` (per-morsel) call
-/// when its schedule fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecFault {
-    /// Panic inside the morsel call. The morsel executor must contain
-    /// this with its per-worker `catch_unwind`, replay the lost
-    /// morsels, and keep the merged result byte-identical.
-    Panic,
-    /// Return [`Trap::Runtime`] with the given code, as a miscompiled
-    /// or resource-starved kernel would. Drives the serving scheduler's
-    /// per-tier circuit breaker.
-    Trap(u8),
-    /// Sleep for the given duration before executing normally, driving
-    /// query-deadline overruns without corrupting results.
-    Delay(Duration),
-    /// Execute normally but inflate the executable's reported cycle
-    /// count by this much per injection. Results stay correct; only the
-    /// modeled cost lies, which is exactly what the runaway governor
-    /// and cycle budgets must react to.
-    BurnCycles(u64),
-}
-
-/// The shared fault plan of one [`ChaosExecBackend`]: fault, schedule,
-/// and the global `main`-call counter. Shared (`Arc`) across every
-/// executable the back-end produces — including re-instantiations of a
-/// cached artifact — so the schedule indexes *morsel calls across the
-/// whole serving run*, not calls per executable.
-struct ExecPlan {
-    fault: ExecFault,
-    schedule: Schedule,
-    calls: AtomicU64,
-    injected: AtomicU64,
-}
-
-impl ExecPlan {
-    /// Advances the call counter; returns the 0-based call index when
-    /// the fault fires for this call.
-    fn fires(&self) -> Option<u64> {
-        let n = self.calls.fetch_add(1, Ordering::Relaxed);
-        let fire = match self.schedule {
-            Schedule::Nth(k) => n == k,
-            Schedule::Always => true,
-            Schedule::Seeded { seed, permille } => {
-                (splitmix64(seed ^ n) % 1000) < u64::from(permille)
-            }
-        };
-        if fire {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            Some(n)
-        } else {
-            None
-        }
-    }
-}
-
-/// A [`Backend`] wrapper whose *executables* misbehave: compilation is
-/// delegated untouched, but each produced [`Executable`] consults the
-/// shared [`ExecPlan`] on every `main` call (`setup`/`finish` stay
-/// clean so pipelines always reach the morsel loop). Deterministic for
-/// a serial reference run; under parallel execution the *set* of faulted
-/// call indices is fixed even though their thread assignment is not.
-pub struct ChaosExecBackend {
-    inner: Arc<dyn Backend>,
-    plan: Arc<ExecPlan>,
-}
-
-impl std::fmt::Debug for ChaosExecBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ChaosExecBackend({}, {:?}, {:?}, {} injected)",
-            self.inner.name(),
-            self.plan.fault,
-            self.plan.schedule,
-            self.plan.injected.load(Ordering::Relaxed)
-        )
-    }
-}
-
-impl ChaosExecBackend {
-    fn with_schedule(inner: Arc<dyn Backend>, fault: ExecFault, schedule: Schedule) -> Self {
-        ChaosExecBackend {
-            inner,
-            plan: Arc::new(ExecPlan {
-                fault,
-                schedule,
-                calls: AtomicU64::new(0),
-                injected: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Injects `fault` on the `n`-th (0-based) `main` call only.
-    pub fn on_nth(inner: Arc<dyn Backend>, n: u64, fault: ExecFault) -> Self {
-        Self::with_schedule(inner, fault, Schedule::Nth(n))
-    }
-
-    /// Injects `fault` on every `main` call.
-    pub fn always(inner: Arc<dyn Backend>, fault: ExecFault) -> Self {
-        Self::with_schedule(inner, fault, Schedule::Always)
-    }
-
-    /// Injects `fault` on each `main` call independently with
-    /// probability `permille`/1000, deterministically derived from
-    /// `seed` and the global call index.
-    pub fn seeded(inner: Arc<dyn Backend>, seed: u64, permille: u16, fault: ExecFault) -> Self {
-        Self::with_schedule(inner, fault, Schedule::Seeded { seed, permille })
-    }
-
-    /// Total `main` calls observed across all produced executables.
-    pub fn calls(&self) -> u64 {
-        self.plan.calls.load(Ordering::Relaxed)
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.plan.injected.load(Ordering::Relaxed)
-    }
-}
-
-impl Backend for ChaosExecBackend {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn isa(&self) -> Isa {
-        self.inner.isa()
-    }
-
-    fn config_fingerprint(&self) -> u64 {
-        let plan = match self.plan.schedule {
-            Schedule::Nth(k) => splitmix64(k ^ 1),
-            Schedule::Always => splitmix64(2),
-            Schedule::Seeded { seed, permille } => splitmix64(seed ^ u64::from(permille) ^ 3),
-        };
-        let fault = match self.plan.fault {
-            ExecFault::Panic => 5,
-            ExecFault::Trap(code) => splitmix64(6 ^ u64::from(code)),
-            ExecFault::Delay(d) => splitmix64(7 ^ d.as_nanos() as u64),
-            ExecFault::BurnCycles(c) => splitmix64(8 ^ c),
-        };
-        // Never alias the clean back-end's cache entries ("EXEC" salt,
-        // distinct from the compile-phase wrapper's salt).
-        self.inner.config_fingerprint() ^ plan ^ fault ^ 0x4558_4543_2121
-    }
-
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        let exe = self.inner.compile(module, trace)?;
-        Ok(Box::new(ChaosExecutable {
-            inner: exe,
-            plan: Arc::clone(&self.plan),
-            extra_cycles: 0,
-        }))
-    }
-
-    fn compile_artifact(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
-        Ok(self
-            .inner
-            .compile_artifact(module, trace)?
-            .map(|art| -> Box<dyn CodeArtifact> {
-                Box::new(ChaosExecArtifact {
-                    inner: art,
-                    plan: Arc::clone(&self.plan),
-                })
-            }))
-    }
-}
-
-/// [`CodeArtifact`] wrapper keeping chaos attached across the engine's
-/// compile-result cache: a cached artifact re-instantiated for a later
-/// query still consults the shared plan. Never serialized — a fault
-/// plan must not escape into the persistent artifact store.
-struct ChaosExecArtifact {
+/// [`CodeArtifact`] keeping a morsel fault attached across the engine's
+/// compile-result cache: a cached artifact re-linked for a later query
+/// still consults the shared plan. Never serialized — a fault plan must
+/// not escape into the persistent artifact store.
+struct ChaosArtifact {
     inner: Box<dyn CodeArtifact>,
-    plan: Arc<ExecPlan>,
+    plan: Arc<Plan>,
 }
 
-impl CodeArtifact for ChaosExecArtifact {
-    fn instantiate(&self) -> Result<Box<dyn Executable>, BackendError> {
+impl CodeArtifact for ChaosArtifact {
+    fn link(&self, trace: &TimeTrace) -> Result<Box<dyn Executable>, BackendError> {
         Ok(Box::new(ChaosExecutable {
-            inner: self.inner.instantiate()?,
+            inner: self.inner.link(trace)?,
             plan: Arc::clone(&self.plan),
             extra_cycles: 0,
         }))
@@ -411,12 +292,13 @@ impl CodeArtifact for ChaosExecArtifact {
     }
 }
 
-/// [`Executable`] that injects its plan's fault into `main` calls.
+/// [`Executable`] that injects its plan's morsel fault into `main`
+/// calls.
 struct ChaosExecutable {
     inner: Box<dyn Executable>,
-    plan: Arc<ExecPlan>,
-    /// Cycles added by `BurnCycles` injections, reported on top of the
-    /// inner executable's honest stats.
+    plan: Arc<Plan>,
+    /// Cycles added by `MorselBurnCycles` injections, reported on top
+    /// of the inner executable's honest stats.
     extra_cycles: u64,
 }
 
@@ -430,10 +312,11 @@ impl Executable for ChaosExecutable {
         if name == "main" {
             if let Some(n) = self.plan.fires() {
                 match self.plan.fault {
-                    ExecFault::Panic => panic!("chaos: injected exec panic on call {n}"),
-                    ExecFault::Trap(code) => return Err(Trap::Runtime(code)),
-                    ExecFault::Delay(d) => std::thread::sleep(d),
-                    ExecFault::BurnCycles(c) => self.extra_cycles += c,
+                    ChaosFault::MorselPanic => panic!("chaos: injected exec panic on call {n}"),
+                    ChaosFault::MorselTrap(code) => return Err(Trap::Runtime(code)),
+                    ChaosFault::MorselDelay(d) => std::thread::sleep(d),
+                    ChaosFault::MorselBurnCycles(c) => self.extra_cycles += c,
+                    _ => unreachable!("compile faults never reach executables"),
                 }
             }
         }
@@ -454,10 +337,10 @@ impl Executable for ChaosExecutable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BackendErrorKind;
+    use crate::{compile_module, BackendErrorKind};
 
-    /// Minimal backend that always "succeeds" with no artifact support
-    /// and an unusable executable; enough to observe injection logic.
+    /// Minimal back-end that always "succeeds" without an artifact;
+    /// enough to observe compile-site injection logic.
     struct NullBackend;
     impl Backend for NullBackend {
         fn name(&self) -> &'static str {
@@ -466,12 +349,12 @@ mod tests {
         fn isa(&self) -> Isa {
             Isa::Tx64
         }
-        fn compile(
+        fn compile_artifact(
             &self,
             _module: &Module,
             _trace: &TimeTrace,
-        ) -> Result<Box<dyn Executable>, BackendError> {
-            Err(BackendError::new("null backend compiles nothing"))
+        ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
+            Ok(None)
         }
     }
 
@@ -481,9 +364,9 @@ mod tests {
 
     #[test]
     fn nth_schedule_fires_once() {
-        let chaos = ChaosBackend::on_nth(Arc::new(NullBackend), 1, ChaosFault::TransientError);
+        let chaos = ChaosBackend::on_nth(Arc::new(NullBackend), 1, ChaosFault::CompileTransient);
         let trace = TimeTrace::disabled();
-        // Call 0: clean (the null inner's artifact default is Ok(None)).
+        // Call 0: clean (the null inner answers Ok(None)).
         assert!(chaos.compile_artifact(&module(), &trace).is_ok());
         // Call 1: the injected transient fault.
         let e1 = chaos
@@ -504,7 +387,7 @@ mod tests {
                 Arc::new(NullBackend),
                 0xC4A05,
                 250,
-                ChaosFault::TransientError,
+                ChaosFault::CompileTransient,
             )
         };
         let trace = TimeTrace::disabled();
@@ -524,19 +407,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "chaos: injected panic")]
     fn panic_fault_panics() {
-        let chaos = ChaosBackend::always(Arc::new(NullBackend), ChaosFault::Panic);
+        let chaos = ChaosBackend::always(Arc::new(NullBackend), ChaosFault::CompilePanic);
         let _ = chaos.compile_artifact(&module(), &TimeTrace::disabled());
     }
 
-    #[test]
-    fn fingerprint_differs_from_inner() {
-        let inner: Arc<dyn Backend> = Arc::new(NullBackend);
-        let chaos = ChaosBackend::always(Arc::clone(&inner), ChaosFault::PermanentError);
-        assert_ne!(chaos.config_fingerprint(), inner.config_fingerprint());
-    }
-
-    /// Executable that records call names and reports fixed stats, so
-    /// the exec-chaos wrapper's behavior is observable.
+    /// Executable that answers every call and reports fixed stats, so
+    /// morsel-site injection is observable.
     struct EchoExecutable {
         stats: CompileStats,
     }
@@ -560,6 +436,24 @@ mod tests {
         }
     }
 
+    struct EchoArtifact(CompileStats);
+    impl CodeArtifact for EchoArtifact {
+        fn link(&self, _trace: &TimeTrace) -> Result<Box<dyn Executable>, BackendError> {
+            Ok(Box::new(EchoExecutable {
+                stats: self.0.clone(),
+            }))
+        }
+        fn compile_stats(&self) -> &CompileStats {
+            &self.0
+        }
+        fn size_bytes(&self) -> usize {
+            0
+        }
+        fn content_bytes(&self) -> Vec<u8> {
+            Vec::new()
+        }
+    }
+
     struct EchoBackend;
     impl Backend for EchoBackend {
         fn name(&self) -> &'static str {
@@ -568,21 +462,26 @@ mod tests {
         fn isa(&self) -> Isa {
             Isa::Tx64
         }
-        fn compile(
+        fn compile_artifact(
             &self,
             _module: &Module,
             _trace: &TimeTrace,
-        ) -> Result<Box<dyn Executable>, BackendError> {
-            Ok(Box::new(EchoExecutable {
-                stats: CompileStats::default(),
-            }))
+        ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
+            Ok(Some(Box::new(EchoArtifact(CompileStats::default()))))
         }
     }
 
+    fn executable(chaos: &ChaosBackend) -> Box<dyn Executable> {
+        compile_module(chaos, &module(), &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
+            .expect("echo compiles")
+    }
+
     #[test]
-    fn exec_trap_fires_on_main_only() {
-        let chaos = ChaosExecBackend::on_nth(Arc::new(EchoBackend), 0, ExecFault::Trap(9));
-        let mut exe = chaos.compile(&module(), &TimeTrace::disabled()).unwrap();
+    fn morsel_trap_fires_on_main_only() {
+        let chaos = ChaosBackend::on_nth(Arc::new(EchoBackend), 0, ChaosFault::MorselTrap(9));
+        let mut exe = executable(&chaos);
+        assert_eq!(chaos.calls(), 0, "compiles are not morsel calls");
         let mut state = RuntimeState::new();
         // setup/finish never consult the schedule.
         assert!(exe.call(&mut state, "setup", &[]).is_ok());
@@ -598,9 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn exec_burn_cycles_inflates_stats_without_failing() {
-        let chaos = ChaosExecBackend::always(Arc::new(EchoBackend), ExecFault::BurnCycles(1000));
-        let mut exe = chaos.compile(&module(), &TimeTrace::disabled()).unwrap();
+    fn morsel_burn_cycles_inflates_stats_without_failing() {
+        let chaos = ChaosBackend::always(Arc::new(EchoBackend), ChaosFault::MorselBurnCycles(1000));
+        let mut exe = executable(&chaos);
         let mut state = RuntimeState::new();
         assert_eq!(exe.call(&mut state, "main", &[]).unwrap()[0], 7);
         assert_eq!(exe.call(&mut state, "main", &[]).unwrap()[0], 7);
@@ -610,32 +509,31 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "chaos: injected exec panic")]
-    fn exec_panic_fault_panics_on_main() {
-        let chaos = ChaosExecBackend::always(Arc::new(EchoBackend), ExecFault::Panic);
-        let mut exe = chaos.compile(&module(), &TimeTrace::disabled()).unwrap();
-        let _ = exe.call(&mut RuntimeState::new(), "main", &[]);
+    fn morsel_panic_fault_panics_on_main() {
+        let chaos = ChaosBackend::always(Arc::new(EchoBackend), ChaosFault::MorselPanic);
+        let _ = executable(&chaos).call(&mut RuntimeState::new(), "main", &[]);
     }
 
     #[test]
-    fn exec_schedule_is_shared_across_executables() {
+    fn morsel_schedule_is_shared_across_executables() {
         // Two executables from the same back-end share one call counter:
         // Nth(1) fires on the second main call overall, regardless of
         // which executable makes it.
-        let chaos = ChaosExecBackend::on_nth(Arc::new(EchoBackend), 1, ExecFault::Trap(1));
-        let trace = TimeTrace::disabled();
-        let mut a = chaos.compile(&module(), &trace).unwrap();
-        let mut b = chaos.compile(&module(), &trace).unwrap();
+        let chaos = ChaosBackend::on_nth(Arc::new(EchoBackend), 1, ChaosFault::MorselTrap(1));
+        let mut a = executable(&chaos);
+        let mut b = executable(&chaos);
         let mut state = RuntimeState::new();
         assert!(a.call(&mut state, "main", &[]).is_ok());
         assert_eq!(b.call(&mut state, "main", &[]), Err(Trap::Runtime(1)));
     }
 
     #[test]
-    fn exec_fingerprint_differs_from_inner_and_compile_chaos() {
+    fn fingerprint_differs_from_inner_and_across_sites() {
         let inner: Arc<dyn Backend> = Arc::new(EchoBackend);
-        let exec = ChaosExecBackend::always(Arc::clone(&inner), ExecFault::Panic);
-        let comp = ChaosBackend::always(Arc::clone(&inner), ChaosFault::Panic);
-        assert_ne!(exec.config_fingerprint(), inner.config_fingerprint());
-        assert_ne!(exec.config_fingerprint(), comp.config_fingerprint());
+        let morsel = ChaosBackend::always(Arc::clone(&inner), ChaosFault::MorselPanic);
+        let compile = ChaosBackend::always(Arc::clone(&inner), ChaosFault::CompilePanic);
+        assert_ne!(compile.config_fingerprint(), inner.config_fingerprint());
+        assert_ne!(morsel.config_fingerprint(), inner.config_fingerprint());
+        assert_ne!(morsel.config_fingerprint(), compile.config_fingerprint());
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Every execution back-end — interpreter, DirectEmit, the Cranelift
 //! analog, the LLVM analog in its cheap/optimized modes, and the C
-//! back-end — implements [`Backend`]: compile one IR module, produce an
-//! [`Executable`]. The engine measures wall-clock compile time around
-//! `compile` (the paper's primary metric) and deterministic cycles through
+//! back-end — implements [`Backend`]: compile one IR module to a
+//! [`CodeArtifact`], which [`CodeArtifact::link`] turns into an
+//! [`Executable`]. Compile time (the paper's primary metric) covers both
+//! steps; execution is accounted in deterministic cycles through
 //! [`Executable::exec_stats`].
 
 pub mod chaos;
@@ -12,8 +13,10 @@ pub mod memit;
 pub mod mir;
 
 use qc_ir::Module;
-use qc_runtime::{EmuHost, RuntimeState};
-use qc_target::{CodeImage, Emulator, ExecStats, ImageBuilder, Isa, Trap, UnwindRegistry};
+use qc_runtime::{resolve_runtime, EmuHost, RuntimeState};
+use qc_target::{
+    CodeImage, Emulator, ExecStats, ImageBuilder, Isa, LinkError, Trap, UnwindRegistry,
+};
 use qc_timing::TimeTrace;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -165,18 +168,28 @@ pub trait Executable: Send {
 }
 
 /// A reusable compilation result: code generation is complete, linking
-/// is not. [`CodeArtifact::instantiate`] repeats only the link and
+/// is not. [`CodeArtifact::link`] repeats only the link and
 /// unwind-registration step, producing a fresh [`Executable`] — this is
 /// what the engine's compile-result cache stores, so parameterized
 /// re-runs of a query skip code generation entirely.
 pub trait CodeArtifact: Send + Sync {
-    /// Links a fresh executable from the cached artifact.
+    /// Links a fresh executable from the artifact, recording the
+    /// back-end's link phase into `trace` (Table I's `ld`, Fig. 2's
+    /// `link`, Fig. 4's `finish`).
     ///
     /// # Errors
     /// Returns [`BackendError`] when linking fails (e.g. a runtime
     /// symbol disappeared; cannot normally happen for artifacts that
     /// linked once already).
-    fn instantiate(&self) -> Result<Box<dyn Executable>, BackendError>;
+    fn link(&self, trace: &TimeTrace) -> Result<Box<dyn Executable>, BackendError>;
+
+    /// [`CodeArtifact::link`] without a trace.
+    ///
+    /// # Errors
+    /// Same as [`CodeArtifact::link`].
+    fn instantiate(&self) -> Result<Box<dyn Executable>, BackendError> {
+        self.link(&TimeTrace::disabled())
+    }
 
     /// Statistics of the original compilation.
     fn compile_stats(&self) -> &CompileStats;
@@ -221,47 +234,124 @@ pub trait Backend: Send + Sync {
         0
     }
 
-    /// Compiles one module. Phase timings go into `trace`.
+    /// Compiles one module to a cacheable, relinkable artifact — the
+    /// only compile entry point. Phase timings up to (not including) the
+    /// link go into `trace`; [`CodeArtifact::link`] records the rest.
+    /// Every back-end in this workspace returns `Some`; the engine
+    /// reports `None` as a permanent error (see [`compile_module`]).
     ///
     /// # Errors
     /// Returns [`BackendError`] for unsupported inputs (e.g. DirectEmit on
     /// irreducible control flow or a non-TX64 target).
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError>;
-
-    /// Compiles one module to a cacheable, relinkable artifact, or
-    /// `None` when the back-end does not support artifact caching (the
-    /// engine then falls back to [`Backend::compile`] per use).
-    ///
-    /// # Errors
-    /// Same failure modes as [`Backend::compile`].
     fn compile_artifact(
         &self,
         module: &Module,
         trace: &TimeTrace,
-    ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
-        let _ = (module, trace);
-        Ok(None)
+    ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError>;
+}
+
+/// [`Backend::compile_artifact`] for callers that need the artifact: a
+/// back-end answering `None` is a permanent error naming it.
+///
+/// # Errors
+/// Propagates the back-end's [`BackendError`].
+pub fn compile_module(
+    backend: &dyn Backend,
+    module: &Module,
+    trace: &TimeTrace,
+) -> Result<Box<dyn CodeArtifact>, BackendError> {
+    backend
+        .compile_artifact(module, trace)?
+        .ok_or_else(|| BackendError::new(format!("{} produced no artifact", backend.name())))
+}
+
+/// The phase a [`NativeArtifact`]'s link records, named as in the
+/// paper's breakdown of the back-end that produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkPhase {
+    /// `link` (DirectEmit, Fig. 5).
+    Link,
+    /// `finish` (Clift, Fig. 4): relocations applied after all
+    /// functions are compiled.
+    Finish,
+    /// `ld` (GCC/C, Table I): the linker's relocation and load step.
+    Ld,
+    /// `link` split into ORC's four phases `phase1_alloc`,
+    /// `phase2_resolve`, `phase3_apply` and `phase4_lookup` (LVM,
+    /// Fig. 2).
+    Orc,
+}
+
+impl LinkPhase {
+    /// Every phase, indexed by its tag (`self as u64`) in the
+    /// serialized artifact.
+    const BY_TAG: [LinkPhase; 4] = [
+        LinkPhase::Link,
+        LinkPhase::Finish,
+        LinkPhase::Ld,
+        LinkPhase::Orc,
+    ];
+
+    /// The trace label.
+    fn label(self) -> &'static str {
+        match self {
+            LinkPhase::Link | LinkPhase::Orc => "link",
+            LinkPhase::Finish => "finish",
+            LinkPhase::Ld => "ld",
+        }
     }
 }
 
+/// ORC-style four-phase link of `builder` (LVM's JIT link, Fig. 2).
+fn orc_link(builder: &ImageBuilder, trace: &TimeTrace) -> Result<CodeImage, LinkError> {
+    {
+        let _p = trace.scope("phase1_alloc");
+        // Recover/prune symbols: hash every defined symbol name.
+        let mut h = 0u64;
+        for n in builder.function_names() {
+            h = h.wrapping_mul(31).wrapping_add(n.len() as u64);
+        }
+        std::hint::black_box(h);
+    }
+    {
+        let _p = trace.scope("phase2_resolve");
+        for s in builder.external_symbols() {
+            std::hint::black_box(resolve_runtime(s));
+        }
+    }
+    let image = {
+        let _p = trace.scope("phase3_apply");
+        builder.clone().link(&resolve_runtime)?
+    };
+    {
+        let _p = trace.scope("phase4_lookup");
+        for n in builder.function_names() {
+            std::hint::black_box(image.addr_of(n));
+        }
+    }
+    Ok(image)
+}
+
 /// [`CodeArtifact`] for the compiling back-ends: an unlinked
-/// [`ImageBuilder`] plus the original compile statistics. Instantiation
-/// clones the builder, links it against the runtime resolver, and
-/// registers unwind information.
+/// [`ImageBuilder`], the original compile statistics, and the back-end's
+/// [`LinkPhase`]. Linking clones the builder, links it against the
+/// runtime resolver, and registers unwind information.
 pub struct NativeArtifact {
     builder: ImageBuilder,
     stats: CompileStats,
+    link_phase: LinkPhase,
 }
 
 impl NativeArtifact {
-    /// Wraps an unlinked image. `stats.code_bytes` is recomputed from
-    /// the linked image at each instantiation.
-    pub fn new(builder: ImageBuilder, stats: CompileStats) -> Self {
-        NativeArtifact { builder, stats }
+    /// Wraps an unlinked image whose link records `link_phase`.
+    /// `stats.code_bytes` is recomputed from the linked image at each
+    /// link.
+    pub fn new(builder: ImageBuilder, stats: CompileStats, link_phase: LinkPhase) -> Self {
+        NativeArtifact {
+            builder,
+            stats,
+            link_phase,
+        }
     }
 
     /// Restores an artifact from [`CodeArtifact::serialize`] output.
@@ -296,6 +386,10 @@ impl NativeArtifact {
         let builder_bytes = take_slice(bytes, &mut at, builder_len)?;
         let builder = ImageBuilder::deserialize_bytes(builder_bytes)
             .map_err(|e| BackendError::new(e.to_string()))?;
+        let link_phase = usize::try_from(take_u64(bytes, &mut at)?)
+            .ok()
+            .and_then(|tag| LinkPhase::BY_TAG.get(tag).copied())
+            .ok_or_else(|| corrupt("link phase"))?;
         let mut stats = CompileStats {
             functions: usize::try_from(take_u64(bytes, &mut at)?)
                 .map_err(|_| corrupt("function count"))?,
@@ -315,7 +409,7 @@ impl NativeArtifact {
         if at != bytes.len() {
             return Err(corrupt("trailing bytes"));
         }
-        Ok(NativeArtifact { builder, stats })
+        Ok(NativeArtifact::new(builder, stats, link_phase))
     }
 }
 
@@ -326,12 +420,15 @@ impl fmt::Debug for NativeArtifact {
 }
 
 impl CodeArtifact for NativeArtifact {
-    fn instantiate(&self) -> Result<Box<dyn Executable>, BackendError> {
-        let linked = self
-            .builder
-            .clone()
-            .link(&|name| qc_runtime::resolve_runtime(name))
-            .map_err(|e| BackendError::new(e.to_string()))?;
+    fn link(&self, trace: &TimeTrace) -> Result<Box<dyn Executable>, BackendError> {
+        let linked = {
+            let _t = trace.scope(self.link_phase.label());
+            match self.link_phase {
+                LinkPhase::Orc => orc_link(&self.builder, trace),
+                _ => self.builder.clone().link(&resolve_runtime),
+            }
+        }
+        .map_err(|e| BackendError::new(e.to_string()))?;
         let mut stats = self.stats.clone();
         stats.code_bytes = linked.len();
         Ok(Box::new(NativeExecutable::new(linked, stats)))
@@ -355,6 +452,7 @@ impl CodeArtifact for NativeArtifact {
         let push_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
         push_u64(&mut out, builder_bytes.len() as u64);
         out.extend_from_slice(&builder_bytes);
+        push_u64(&mut out, self.link_phase as u64);
         push_u64(&mut out, self.stats.functions as u64);
         push_u64(&mut out, self.stats.code_bytes as u64);
         push_u64(&mut out, self.stats.counters.len() as u64);
@@ -482,12 +580,26 @@ mod tests {
             ..Default::default()
         };
         stats.bump("isel_fallbacks", 3);
-        let artifact = NativeArtifact::new(ib, stats);
+        let artifact = NativeArtifact::new(ib, stats, LinkPhase::Orc);
         let bytes = artifact.serialize().expect("native artifacts serialize");
         let back = NativeArtifact::deserialize(&bytes).expect("roundtrip");
         assert_eq!(artifact.content_bytes(), back.content_bytes());
         assert_eq!(back.compile_stats().functions, 1);
         assert_eq!(back.compile_stats().counters["isel_fallbacks"], 3);
+        // The link-phase label round-trips: a traced link of the restored
+        // artifact records LVM's ORC phases.
+        let trace = TimeTrace::new();
+        back.link(&trace).expect("traced link");
+        let report = trace.report();
+        for phase in [
+            "link",
+            "link/phase1_alloc",
+            "link/phase2_resolve",
+            "link/phase3_apply",
+            "link/phase4_lookup",
+        ] {
+            assert_eq!(report.count(phase), 1, "{phase}");
+        }
         // The restored artifact must still link and run.
         let mut exe = back.instantiate().expect("instantiate");
         let mut state = RuntimeState::new();
@@ -496,6 +608,94 @@ mod tests {
         for cut in [0, 7, bytes.len() - 1] {
             assert!(NativeArtifact::deserialize(&bytes[..cut]).is_err());
         }
+    }
+
+    /// An artifact using every part of the payload format: functions
+    /// calling each other and a runtime helper, an absolute-address data
+    /// item, unwind entries and counters.
+    fn rich_artifact(isa: Isa, link_phase: LinkPhase) -> NativeArtifact {
+        let mut ib = ImageBuilder::new(isa);
+        for (name, callee) in [("g", "rt_throw_overflow"), ("f", "g")] {
+            let mut masm = qc_target::new_masm(isa);
+            masm.mov_sym(qc_target::Reg(1), qc_target::SymbolRef::named("pool"));
+            masm.call_sym(qc_target::SymbolRef::named(callee));
+            masm.ret();
+            let (code, relocs) = masm.finish();
+            let len = code.len();
+            let off = ib.add_function(name, code, relocs);
+            ib.add_unwind(
+                off,
+                qc_target::UnwindEntry {
+                    start: 0,
+                    end: len,
+                    frame_size: 16,
+                    synchronous_only: false,
+                },
+            );
+        }
+        ib.add_data(
+            "pool",
+            vec![0; 16],
+            8,
+            vec![qc_target::Reloc {
+                offset: 8,
+                kind: qc_target::RelocKind::Abs64,
+                sym: qc_target::SymbolRef::named("f"),
+                addend: 0,
+            }],
+        );
+        let mut stats = CompileStats {
+            functions: 2,
+            ..Default::default()
+        };
+        stats.bump("calls", 2);
+        NativeArtifact::new(ib, stats, link_phase)
+    }
+
+    /// Corrupt payloads that pass decoding must still link without
+    /// panicking: decoding rejects relocation fields outside their item
+    /// and unwind entries keyed by no item, and the link range-checks
+    /// displacements. Fixed seed, so a failure reproduces.
+    #[test]
+    fn mutated_artifact_payloads_never_panic() {
+        let mut rng = 0x5eed_u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut decoded = 0;
+        for (isa, phase) in [(Isa::Tx64, LinkPhase::Finish), (Isa::Ta64, LinkPhase::Orc)] {
+            let bytes = rich_artifact(isa, phase).serialize().expect("serialize");
+            NativeArtifact::deserialize(&bytes)
+                .expect("intact payload decodes")
+                .instantiate()
+                .expect("intact payload links");
+            for _ in 0..2000 {
+                let mut mutant = bytes.clone();
+                let edits: Vec<(usize, u8)> = (0..=next() % 4)
+                    .map(|_| ((next() % bytes.len() as u64) as usize, next() as u8))
+                    .collect();
+                for &(at, byte) in &edits {
+                    mutant[at] = byte;
+                }
+                let outcome = std::panic::catch_unwind(|| {
+                    NativeArtifact::deserialize(&mutant).map(|a| {
+                        let _ = a.instantiate();
+                    })
+                });
+                match outcome {
+                    Ok(result) => decoded += usize::from(result.is_ok()),
+                    Err(_) => {
+                        panic!("{isa:?} payload with (offset, byte) edits {edits:?} panicked")
+                    }
+                }
+            }
+        }
+        // Mutants of bytes that are not validated (code, counters) still
+        // decode, so the link path is exercised.
+        assert!(decoded > 100, "only {decoded} mutants decoded");
     }
 
     #[test]

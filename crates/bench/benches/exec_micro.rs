@@ -10,7 +10,7 @@
 //! deterministic cycle cost (the paper's metric) is far higher.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qc_backend::Backend;
+use qc_backend::{compile_module, Backend};
 use qc_ir::{CmpOp, FunctionBuilder, Module, Opcode, Signature, Type};
 use qc_runtime::RuntimeState;
 use qc_target::Isa;
@@ -137,8 +137,8 @@ fn run_module(make: fn() -> Module, group_name: &str, args: &[u64], c: &mut Crit
         ),
     ];
     for (name, backend) in entries.drain(..) {
-        let mut exe = backend
-            .compile(&m, &TimeTrace::disabled())
+        let mut exe = compile_module(backend.as_ref(), &m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
             .expect("compile");
         group.bench_function(name, |b| {
             b.iter(|| {

@@ -6,7 +6,7 @@
 //! instead of query failure.
 //!
 //! A second section exercises the *execution* fault envelope: a seeded
-//! [`ChaosExecBackend`] panics inside ~10% of morsel calls while the
+//! [`ChaosBackend`] panics inside ~10% of morsel calls while the
 //! serving scheduler drives a batch of sessions. The process must not
 //! crash, every surviving result must stay byte-identical to the
 //! serial reference, and the section reports throughput and latency
@@ -18,7 +18,7 @@
 //! (per-morsel exec-fault probability, default 100 = 10%),
 //! `QC_SESSIONS` (serving-section session count, default 256).
 
-use qc_backend::chaos::{ChaosBackend, ChaosExecBackend, ChaosFault, ExecFault};
+use qc_backend::chaos::{ChaosBackend, ChaosFault};
 use qc_bench::{env_sf, env_suite, secs, LatencyStats};
 use qc_engine::{
     backends, CompileBudget, CompileService, FallbackChain, OutcomeStatus, QueryScheduler,
@@ -67,13 +67,13 @@ fn main() {
         Arc::clone(&clean.tiers()[0]),
         seed,
         permille,
-        ChaosFault::Panic,
+        ChaosFault::CompilePanic,
     ));
     tiers[1] = Arc::new(ChaosBackend::seeded(
         Arc::clone(&clean.tiers()[1]),
         seed.wrapping_add(1),
         permille,
-        ChaosFault::PermanentError,
+        ChaosFault::CompilePermanent,
     ));
     let chain = FallbackChain::new(tiers);
     let tier_names: Vec<&str> = chain.tiers().iter().map(|t| t.name()).collect();
@@ -178,11 +178,11 @@ fn main() {
         reference.insert(q.name.clone(), result.rows);
     }
 
-    let chaos_exec = Arc::new(ChaosExecBackend::seeded(
+    let chaos_exec = Arc::new(ChaosBackend::seeded(
         Arc::clone(&clean_backend),
         seed.wrapping_add(2),
         exec_permille,
-        ExecFault::Panic,
+        ChaosFault::MorselPanic,
     ));
     let serve_backend: Arc<dyn qc_backend::Backend> = Arc::clone(&chaos_exec) as _;
     let requests: Vec<SessionRequest> = (0..n_sessions)

@@ -18,11 +18,8 @@ mod minicc;
 
 pub use cprint::print_c;
 
-use qc_backend::{
-    Backend, BackendError, CodeArtifact, CompileStats, Executable, NativeArtifact, NativeExecutable,
-};
+use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, LinkPhase, NativeArtifact};
 use qc_ir::Module;
-use qc_runtime::resolve_runtime;
 use qc_target::{ImageBuilder, Isa, UnwindEntry};
 use qc_timing::TimeTrace;
 use std::io::Write as _;
@@ -58,25 +55,6 @@ impl Backend for CgenBackend {
         self.isa
     }
 
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        let (image, mut stats) = self
-            .build_parts(module, trace)
-            .map_err(|e| e.in_backend(self.name()))?;
-        // Final step of the `ld` phase: relocation + load.
-        let linked = {
-            let _t = trace.scope("ld");
-            image
-                .link(&|name| resolve_runtime(name))
-                .map_err(|e| BackendError::new(e.to_string()).in_backend(self.name()))?
-        };
-        stats.code_bytes = linked.len();
-        Ok(Box::new(NativeExecutable::new(linked, stats)))
-    }
-
     fn compile_artifact(
         &self,
         module: &Module,
@@ -85,15 +63,20 @@ impl Backend for CgenBackend {
         let (image, stats) = self
             .build_parts(module, trace)
             .map_err(|e| e.in_backend(self.name()))?;
-        Ok(Some(Box::new(NativeArtifact::new(image, stats))))
+        // Final step of the `ld` phase, relocation + load, happens when
+        // the artifact is linked.
+        Ok(Some(Box::new(NativeArtifact::new(
+            image,
+            stats,
+            LinkPhase::Ld,
+        ))))
     }
 }
 
 impl CgenBackend {
     /// The whole toolchain pipeline short of the final relocation/load
     /// step: C generation, temp-file IO, cc1, assembler, and the
-    /// object-collection half of `ld`; `compile` links the image
-    /// immediately, `compile_artifact` defers linking to instantiation.
+    /// object-collection half of `ld`.
     fn build_parts(
         &self,
         module: &Module,
@@ -177,8 +160,8 @@ impl CgenBackend {
             asmtext::assemble(&asm_text, self.isa)?
         };
 
-        // --- Linker (shared-library build; relocation happens in the
-        // caller so artifacts can defer it). ---
+        // --- Linker (shared-library build; relocation happens when the
+        // artifact is linked). ---
         let image = {
             let _t = trace.scope("ld");
             let mut image = ImageBuilder::new(self.isa);
@@ -211,6 +194,7 @@ impl CgenBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_backend::compile_module;
     use qc_ir::{CmpOp, FunctionBuilder, Opcode, Signature, Type};
     use qc_runtime::RuntimeState;
     use qc_target::Trap;
@@ -229,7 +213,9 @@ mod tests {
         m.push_function(f);
         let mut backend = CgenBackend::new(isa);
         backend.use_temp_files = false; // keep unit tests hermetic
-        let mut exe = match backend.compile(&m, &TimeTrace::disabled()) {
+        let mut exe = match compile_module(&backend, &m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
+        {
             Ok(e) => e,
             Err(e) => panic!("{e}"),
         };
@@ -368,7 +354,9 @@ mod tests {
         m.push_function(bld.finish());
         let mut backend = CgenBackend::new(Isa::Tx64);
         backend.use_temp_files = false;
-        let mut exe = backend.compile(&m, &TimeTrace::disabled()).unwrap();
+        let mut exe = compile_module(&backend, &m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
+            .unwrap();
         let r = exe
             .call(&mut state, "f", &[s1.lo, s1.hi, s2.lo, s2.hi])
             .unwrap();
@@ -409,7 +397,9 @@ mod tests {
         let mut m = Module::new("m");
         m.push_function(b.finish());
         let trace = TimeTrace::new();
-        let _ = CgenBackend::new(Isa::Tx64).compile(&m, &trace).unwrap();
+        let _ = compile_module(&CgenBackend::new(Isa::Tx64), &m, &trace)
+            .and_then(|a| a.link(&trace))
+            .unwrap();
         let report = trace.report();
         for phase in [
             "cgen",

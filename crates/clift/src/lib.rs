@@ -48,11 +48,8 @@ pub fn compile_function_parts(
 pub use cir::ExtFlags;
 pub use regalloc::allocate;
 
-use qc_backend::{
-    Backend, BackendError, CodeArtifact, CompileStats, Executable, NativeArtifact, NativeExecutable,
-};
+use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, LinkPhase, NativeArtifact};
 use qc_ir::Module;
-use qc_runtime::resolve_runtime;
 use qc_target::{ImageBuilder, Isa, UnwindEntry};
 use qc_timing::TimeTrace;
 
@@ -111,25 +108,6 @@ impl Backend for CliftBackend {
             | u64::from(self.ext.mulfull) << 2
     }
 
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        let (image, mut stats) = self
-            .build_parts(module, trace)
-            .map_err(|e| e.in_backend(self.name()))?;
-        // 7. Finish: relocations applied after all functions are compiled.
-        let linked = {
-            let _t = trace.scope("finish");
-            image
-                .link(&|name| resolve_runtime(name))
-                .map_err(|e| BackendError::new(e.to_string()).in_backend(self.name()))?
-        };
-        stats.code_bytes = linked.len();
-        Ok(Box::new(NativeExecutable::new(linked, stats)))
-    }
-
     fn compile_artifact(
         &self,
         module: &Module,
@@ -138,14 +116,19 @@ impl Backend for CliftBackend {
         let (image, stats) = self
             .build_parts(module, trace)
             .map_err(|e| e.in_backend(self.name()))?;
-        Ok(Some(Box::new(NativeArtifact::new(image, stats))))
+        // 7. Finish: relocations applied after all functions are
+        // compiled, when the artifact is linked.
+        Ok(Some(Box::new(NativeArtifact::new(
+            image,
+            stats,
+            LinkPhase::Finish,
+        ))))
     }
 }
 
 impl CliftBackend {
     /// Phases 1–6 of the pipeline (everything but the final link),
-    /// producing the unlinked image; `compile` links it immediately,
-    /// `compile_artifact` defers linking to instantiation.
+    /// producing the unlinked image.
     fn build_parts(
         &self,
         module: &Module,
@@ -252,6 +235,7 @@ impl CliftBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_backend::compile_module;
     use qc_ir::{CmpOp, FunctionBuilder, Opcode, Signature, Type};
     use qc_runtime::RuntimeState;
     use qc_target::Trap;
@@ -270,7 +254,9 @@ mod tests {
         let mut m = Module::new("m");
         m.push_function(f);
         let backend = CliftBackend::with_extensions(isa, ext);
-        let mut exe = match backend.compile(&m, &TimeTrace::disabled()) {
+        let mut exe = match compile_module(&backend, &m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
+        {
             Ok(e) => e,
             Err(e) => panic!("{e}"),
         };
@@ -459,8 +445,8 @@ mod tests {
         let mut m = Module::new("m");
         m.push_function(bld.finish());
         for isa in [Isa::Tx64, Isa::Ta64] {
-            let mut exe = CliftBackend::new(isa)
-                .compile(&m, &TimeTrace::disabled())
+            let mut exe = compile_module(&CliftBackend::new(isa), &m, &TimeTrace::disabled())
+                .and_then(|a| a.instantiate())
                 .unwrap();
             let r = exe
                 .call(&mut state, "f", &[a.lo, a.hi, b2.lo, b2.hi])
@@ -510,7 +496,9 @@ mod tests {
         let mut m = Module::new("m");
         m.push_function(b.finish());
         let trace = TimeTrace::new();
-        let _ = CliftBackend::new(Isa::Tx64).compile(&m, &trace).unwrap();
+        let _ = compile_module(&CliftBackend::new(Isa::Tx64), &m, &trace)
+            .and_then(|a| a.link(&trace))
+            .unwrap();
         let report = trace.report();
         for phase in [
             "irgen",

@@ -7,7 +7,7 @@
 //! calls the newly compiled function.
 
 use crate::compile_service::{CompileService, PendingCompile};
-use crate::engine::{Engine, EngineError, ExecutionResult, PreparedQuery};
+use crate::engine::{Engine, EngineError, ExecutionResult, PreparedQuery, QueryBudget};
 use qc_backend::{Backend, BackendError};
 use qc_timing::TimeTrace;
 use std::sync::Arc;
@@ -17,7 +17,7 @@ use std::sync::Arc;
 pub enum AdaptiveOutcome {
     /// The cheap tier was sufficient.
     StayedCheap,
-    /// The query was recompiled with the optimizing tier.
+    /// The optimizing tier's code was swapped in mid-query.
     TieredUp,
 }
 
@@ -70,35 +70,6 @@ impl AdaptiveExecution {
         observed_cycles.saturating_mul(self.expected_executions) > est_compile_cost
     }
 
-    /// Runs a prepared query adaptively: executes in the cheap tier, then
-    /// (if the heuristic fires) recompiles with the optimizing tier and
-    /// re-executes.
-    ///
-    /// Returns the final result, the outcome, and the total compile time
-    /// spent across tiers.
-    ///
-    /// # Errors
-    /// Propagates compilation and execution errors.
-    pub fn run(
-        &self,
-        engine: &Engine<'_>,
-        prepared: &PreparedQuery,
-        cheap: &dyn Backend,
-        optimized: &dyn Backend,
-    ) -> Result<(ExecutionResult, AdaptiveOutcome), EngineError> {
-        let trace = TimeTrace::disabled();
-        let mut compiled = engine.compile_internal(prepared, cheap, &trace)?;
-        let first = engine.execute_internal(prepared, &mut compiled)?;
-        if !self.should_tier_up(prepared.ir_size(), first.exec_stats.cycles) {
-            return Ok((first, AdaptiveOutcome::StayedCheap));
-        }
-        let mut opt = engine.compile_internal(prepared, optimized, &trace)?;
-        let mut second = engine.execute_internal(prepared, &mut opt)?;
-        second.compile_time += first.compile_time;
-        second.compile_stats.merge(&first.compile_stats);
-        Ok((second, AdaptiveOutcome::TieredUp))
-    }
-
     /// Runs a prepared query with *background* tier-up: the cheap tier
     /// compiles and starts executing immediately; the optimizing tier is
     /// compiled on a [`CompileService`] worker and swapped in at the next
@@ -134,39 +105,41 @@ impl AdaptiveExecution {
         let policy = *self;
         let ir_size = prepared.ir_size();
 
-        let result = engine.execute_with_hook_internal(prepared, &mut compiled, &mut |event| {
-            if swapped_at.is_some() || background_error.is_some() {
-                return None;
-            }
-            if pending.is_none() {
-                let fire = match swap_after_morsels {
-                    Some(_) => true,
-                    None => policy.should_tier_up(ir_size, event.cycles_so_far),
+        let unlimited = QueryBudget::unlimited();
+        let result =
+            engine.execute_budgeted(prepared, &mut compiled, &unlimited, &mut |event| {
+                if swapped_at.is_some() || background_error.is_some() {
+                    return None;
+                }
+                if pending.is_none() {
+                    let fire = match swap_after_morsels {
+                        Some(_) => true,
+                        None => policy.should_tier_up(ir_size, event.cycles_so_far),
+                    };
+                    if fire {
+                        pending = Some(service.spawn_compile(prepared, optimized));
+                    }
+                }
+                let ready = match swap_after_morsels {
+                    // Deterministic schedule: block for the worker so the
+                    // swap lands at exactly boundary `n`.
+                    Some(n) if event.morsels_done >= n => pending.take().map(PendingCompile::wait),
+                    Some(_) => None,
+                    // Heuristic schedule: swap as soon as the worker is done.
+                    None => pending.as_mut().and_then(PendingCompile::try_take),
                 };
-                if fire {
-                    pending = Some(service.spawn_compile(prepared, optimized));
+                match ready {
+                    Some(Ok(replacement)) => {
+                        swapped_at = Some(event.morsels_done);
+                        Some(replacement)
+                    }
+                    Some(Err(e)) => {
+                        background_error = Some(e);
+                        None
+                    }
+                    None => None,
                 }
-            }
-            let ready = match swap_after_morsels {
-                // Deterministic schedule: block for the worker so the
-                // swap lands at exactly boundary `n`.
-                Some(n) if event.morsels_done >= n => pending.take().map(PendingCompile::wait),
-                Some(_) => None,
-                // Heuristic schedule: swap as soon as the worker is done.
-                None => pending.as_mut().and_then(PendingCompile::try_take),
-            };
-            match ready {
-                Some(Ok(replacement)) => {
-                    swapped_at = Some(event.morsels_done);
-                    Some(replacement)
-                }
-                Some(Err(e)) => {
-                    background_error = Some(e);
-                    None
-                }
-                None => None,
-            }
-        })?;
+            })?;
 
         let report = BackgroundReport {
             outcome: if swapped_at.is_some() {

@@ -22,7 +22,7 @@
 //!
 //! Strings are length-prefixed (u64 LE). The payload is
 //! [`CodeArtifact::serialize`] output ([`NativeArtifact`]'s unlinked
-//! image plus compile stats).
+//! image, link-phase label and compile stats).
 //!
 //! # Failure policy
 //!
@@ -53,8 +53,8 @@ const MAGIC: [u8; 4] = *b"QCAS";
 
 /// Version of the artifact-file envelope; bumped on incompatible
 /// changes so stale files are rejected (and cleaned up) instead of
-/// misparsed.
-const STORE_FORMAT_VERSION: u32 = 1;
+/// misparsed. Version 2 added the link-phase label to the payload.
+const STORE_FORMAT_VERSION: u32 = 2;
 
 /// Identity of a reusable piece of machine code: what must match for a
 /// stored artifact to be valid for a compile request. Mirrors the
@@ -418,7 +418,7 @@ fn decode_file(bytes: &[u8], expect_key: Option<&ArtifactKey>) -> Result<NativeA
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qc_backend::CompileStats;
+    use qc_backend::{CompileStats, LinkPhase};
     use qc_target::{ImageBuilder, Isa, Tx64Assembler};
 
     fn unique_dir(tag: &str) -> PathBuf {
@@ -437,7 +437,7 @@ mod tests {
         let (code, relocs) = asm.finish();
         let mut ib = ImageBuilder::new(Isa::Tx64);
         ib.add_function("f", code, relocs);
-        NativeArtifact::new(ib, CompileStats::default())
+        NativeArtifact::new(ib, CompileStats::default(), LinkPhase::Link)
     }
 
     fn key(h: u64) -> ArtifactKey {

@@ -42,7 +42,7 @@ use crate::artifact_store::{ArtifactKey, ArtifactStore};
 use crate::engine::{CompiledQuery, EngineError, PreparedQuery};
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
-use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
+use qc_backend::{compile_module, Backend, BackendError, CodeArtifact, CompileStats};
 use qc_ir::{module_structural_hash, Module};
 use qc_timing::TimeTrace;
 use std::collections::HashMap;
@@ -474,21 +474,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// What a worker hands back for one module.
-enum WorkerOut {
-    /// A relinkable artifact (also goes into the cache).
-    Artifact(Arc<dyn CodeArtifact>),
-    /// A directly compiled executable (back-end without artifact
-    /// support); bypasses the cache.
-    Executable(Box<dyn Executable>),
-}
-
-/// One slot of the in-order reassembly buffer.
-enum Slot {
-    Cached(Arc<dyn CodeArtifact>),
-    Fresh(WorkerOut),
-}
-
 /// A compilation started with [`CompileService::spawn_compile`],
 /// running on a worker while the caller keeps executing.
 pub struct PendingCompile {
@@ -635,8 +620,10 @@ impl CompileService {
     /// ```
     ///
     /// A foreground submit compiles before returning (the ticket is
-    /// already resolved); a background submit returns immediately and
-    /// compiles on a worker. [`CompileService::compile`],
+    /// already resolved), fanning cache misses out to the pool, or, for
+    /// a [`direct`](CompileRequest::direct) request, compiling every
+    /// module on the caller thread without the cache; a background
+    /// submit returns immediately and compiles on a worker. [`CompileService::compile`],
     /// [`CompileService::compile_budgeted`],
     /// [`CompileService::spawn_compile`] and
     /// [`CompileService::spawn_compile_budgeted`] are thin wrappers
@@ -652,6 +639,7 @@ impl CompileService {
             backend,
             budget: None,
             background: false,
+            direct: false,
             trace: None,
         }
     }
@@ -717,14 +705,14 @@ impl CompileService {
     ) -> Result<CompiledQuery, BackendError> {
         let start = Instant::now();
         let modules = &prepared.ir.modules;
-        let mut slots: Vec<Option<Slot>> = modules.iter().map(|_| None).collect();
+        let mut slots: Vec<Option<Arc<dyn CodeArtifact>>> = modules.iter().map(|_| None).collect();
 
         // Probe the cache on the caller thread; misses go to workers.
         let mut misses = Vec::new();
         for (i, module) in modules.iter().enumerate() {
             let key = CacheKey::new(module, backend.as_ref());
             match self.cache.lookup(&key) {
-                Some(artifact) => slots[i] = Some(Slot::Cached(artifact)),
+                Some(artifact) => slots[i] = Some(artifact),
                 None => misses.push((i, key, Arc::clone(module))),
             }
         }
@@ -778,11 +766,10 @@ impl CompileService {
                 trace.merge(r);
             }
             match out {
-                Ok(WorkerOut::Artifact(artifact)) => {
+                Ok(artifact) => {
                     self.cache.insert(key, Arc::clone(&artifact));
-                    slots[i] = Some(Slot::Fresh(WorkerOut::Artifact(artifact)));
+                    slots[i] = Some(artifact);
                 }
-                Ok(out) => slots[i] = Some(Slot::Fresh(out)),
                 Err(e) => {
                     if first_err.is_none() {
                         first_err = Some(e);
@@ -793,7 +780,7 @@ impl CompileService {
         if let Some(e) = first_err {
             return Err(e.in_backend(backend.name()));
         }
-        assemble(slots, start, backend.name())
+        assemble(slots, start, backend.name(), trace)
     }
 
     /// Starts compiling every pipeline of `prepared` on a worker under
@@ -842,7 +829,9 @@ impl CompileService {
         let faults = Arc::clone(&self.faults);
         let (tx, rx) = channel::unbounded();
         let job: Job = Box::new(move || {
-            let _ = tx.send(compile_all(&modules, &backend, &cache, budget, &faults));
+            let trace = TimeTrace::disabled();
+            let compiled = compile_all(&modules, &backend, Some(&cache), budget, &faults, &trace);
+            let _ = tx.send(compiled);
         });
         if let Err(job) = self.pool.submit(job) {
             self.faults.inline_fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -864,14 +853,28 @@ pub struct CompileRequest<'a> {
     backend: &'a Arc<dyn Backend>,
     budget: Option<CompileBudget>,
     background: bool,
+    direct: bool,
     trace: Option<&'a TimeTrace>,
 }
 
 impl<'a> CompileRequest<'a> {
-    /// Overrides the service's default per-job [`CompileBudget`].
+    /// Overrides the per-job [`CompileBudget`]: by default the
+    /// service's, or [`CompileBudget::strict`] for a
+    /// [`direct`](Self::direct) request.
     #[must_use]
     pub fn budget(mut self, budget: CompileBudget) -> Self {
         self.budget = Some(budget);
+        self
+    }
+
+    /// Compiles the modules one after another on the caller thread with
+    /// neither cache tier: every compile pays the full code generation
+    /// and link. This is the measurement path the paper's benchmarks
+    /// use; it runs the same per-module fault envelope and the same
+    /// link as every other request.
+    #[must_use]
+    pub fn direct(mut self) -> Self {
+        self.direct = true;
         self
     }
 
@@ -885,7 +888,8 @@ impl<'a> CompileRequest<'a> {
         self
     }
 
-    /// Merges per-phase worker timings into `trace`. Honored by
+    /// Records per-phase compile and link timings into `trace`
+    /// (worker timings are merged in pipeline order). Honored by
     /// foreground requests; background requests ignore it.
     #[must_use]
     pub fn trace(mut self, trace: &'a TimeTrace) -> Self {
@@ -898,56 +902,47 @@ impl<'a> CompileRequest<'a> {
     /// panics caught, deadline overruns degraded to errors, transient
     /// failures retried — see the module docs.
     pub fn submit(self) -> PendingCompile {
-        let budget = self.budget.unwrap_or(self.service.default_budget);
-        if self.background {
-            self.service
-                .spawn_background(self.prepared, self.backend, budget)
+        let service = self.service;
+        let budget = self.budget.unwrap_or(if self.direct {
+            CompileBudget::strict()
         } else {
-            let disabled;
-            let trace = match self.trace {
-                Some(t) => t,
-                None => {
-                    disabled = TimeTrace::disabled();
-                    &disabled
-                }
-            };
-            PendingCompile::ready(self.service.compile_fanout(
-                self.prepared,
-                self.backend,
-                budget,
-                trace,
-            ))
+            service.default_budget
+        });
+        if self.background {
+            return service.spawn_background(self.prepared, self.backend, budget);
         }
+        let disabled;
+        let trace = match self.trace {
+            Some(t) => t,
+            None => {
+                disabled = TimeTrace::disabled();
+                &disabled
+            }
+        };
+        PendingCompile::ready(if self.direct {
+            let modules = &self.prepared.ir.modules;
+            compile_all(modules, self.backend, None, budget, &service.faults, trace)
+        } else {
+            service.compile_fanout(self.prepared, self.backend, budget, trace)
+        })
     }
 }
 
-/// Compiles one module, preferring the cacheable artifact path.
-fn compile_one(
-    backend: &dyn Backend,
-    module: &Module,
-    trace: &TimeTrace,
-) -> Result<WorkerOut, BackendError> {
-    match backend.compile_artifact(module, trace)? {
-        Some(artifact) => Ok(WorkerOut::Artifact(Arc::from(artifact))),
-        None => backend.compile(module, trace).map(WorkerOut::Executable),
-    }
-}
-
-/// [`compile_one`] inside the fault-tolerance envelope: panics caught,
-/// the budget deadline checked, transient failures retried with
-/// exponential backoff. Runs on a worker thread or, when the pool is
-/// unavailable, inline on the caller thread.
+/// Compiles one module inside the fault-tolerance envelope: panics
+/// caught, the budget deadline checked, transient failures retried with
+/// exponential backoff. Runs on a worker thread or on the caller thread
+/// (direct requests, or when the pool is unavailable).
 fn compile_one_budgeted(
     backend: &dyn Backend,
     module: &Module,
     trace: &TimeTrace,
     budget: CompileBudget,
     faults: &Faults,
-) -> Result<WorkerOut, BackendError> {
+) -> Result<Arc<dyn CodeArtifact>, BackendError> {
     let start = Instant::now();
     let mut attempt = 0u32;
     loop {
-        let outcome = catch_unwind(AssertUnwindSafe(|| compile_one(backend, module, trace)))
+        let outcome = catch_unwind(AssertUnwindSafe(|| compile_module(backend, module, trace)))
             .unwrap_or_else(|payload| {
                 faults.panics_caught.fetch_add(1, Ordering::Relaxed);
                 Err(BackendError::panicked(format!(
@@ -971,7 +966,7 @@ fn compile_one_budgeted(
             )));
         }
         match outcome {
-            Ok(out) => return Ok(out),
+            Ok(artifact) => return Ok(Arc::from(artifact)),
             Err(e) if e.is_transient() && attempt < budget.max_retries => {
                 faults.retries.fetch_add(1, Ordering::Relaxed);
                 let backoff = budget.retry_backoff * 2u32.saturating_pow(attempt.min(16));
@@ -985,62 +980,60 @@ fn compile_one_budgeted(
     }
 }
 
-/// Sequentially compiles all modules of a query on the current (worker)
-/// thread, consulting and feeding the shared cache. Used by background
-/// tier-up; the same per-module fault envelope applies, so a panicking
-/// optimizing tier reports an error instead of killing the worker.
+/// Sequentially compiles all modules of a query on the current thread,
+/// consulting and feeding `cache` when there is one. Background tier-up
+/// runs it on a worker with the shared cache; a direct request runs it
+/// on the caller thread without one. The same per-module fault envelope
+/// applies, so a panicking optimizing tier reports an error instead of
+/// killing the worker.
 fn compile_all(
     modules: &[Arc<Module>],
     backend: &Arc<dyn Backend>,
-    cache: &CodeCache,
+    cache: Option<&CodeCache>,
     budget: CompileBudget,
     faults: &Faults,
+    trace: &TimeTrace,
 ) -> Result<CompiledQuery, BackendError> {
     let start = Instant::now();
-    let trace = TimeTrace::disabled();
     let mut slots = Vec::with_capacity(modules.len());
     for module in modules {
-        let key = CacheKey::new(module, backend.as_ref());
-        let slot = match cache.lookup(&key) {
-            Some(artifact) => Slot::Cached(artifact),
+        let key = cache.map(|c| (c, CacheKey::new(module, backend.as_ref())));
+        let artifact = match key.and_then(|(c, key)| c.lookup(&key)) {
+            Some(artifact) => artifact,
             None => {
-                let out = compile_one_budgeted(backend.as_ref(), module, &trace, budget, faults)
-                    .map_err(|e| e.in_backend(backend.name()))?;
-                if let WorkerOut::Artifact(artifact) = &out {
-                    cache.insert(key, Arc::clone(artifact));
+                let artifact =
+                    compile_one_budgeted(backend.as_ref(), module, trace, budget, faults)
+                        .map_err(|e| e.in_backend(backend.name()))?;
+                if let Some((c, key)) = key {
+                    c.insert(key, Arc::clone(&artifact));
                 }
-                Slot::Fresh(out)
+                artifact
             }
         };
-        slots.push(Some(slot));
+        slots.push(Some(artifact));
     }
-    assemble(slots, start, backend.name())
+    assemble(slots, start, backend.name(), trace)
 }
 
-/// Reassembles compiled slots in pipeline order into a
-/// [`CompiledQuery`]; cached and disk artifacts pay only the
-/// link/unwind-registration step here. Shared by the foreground
-/// fan-out and the background sequential path.
+/// Links compiled slots in pipeline order into a [`CompiledQuery`],
+/// recording each back-end's link phase into `trace`; cached and disk
+/// artifacts pay only this link/unwind-registration step. Shared by
+/// the foreground fan-out and the sequential path.
 fn assemble(
-    slots: Vec<Option<Slot>>,
+    slots: Vec<Option<Arc<dyn CodeArtifact>>>,
     start: Instant,
     backend_name: &'static str,
+    trace: &TimeTrace,
 ) -> Result<CompiledQuery, BackendError> {
     let mut executables = Vec::with_capacity(slots.len());
     let mut artifacts = Vec::with_capacity(slots.len());
     let mut stats = CompileStats::default();
     for slot in slots {
-        let (exe, artifact) = match slot {
-            Some(Slot::Cached(artifact)) | Some(Slot::Fresh(WorkerOut::Artifact(artifact))) => {
-                (artifact.instantiate()?, Some(artifact))
-            }
-            Some(Slot::Fresh(WorkerOut::Executable(exe))) => (exe, None),
-            None => {
-                return Err(BackendError::transient(
-                    "compile worker died before replying",
-                ));
-            }
-        };
+        let artifact =
+            slot.ok_or_else(|| BackendError::transient("compile worker died before replying"))?;
+        let exe = artifact
+            .link(trace)
+            .map_err(|e| e.in_backend(backend_name))?;
         stats.merge(exe.compile_stats());
         executables.push(exe);
         artifacts.push(artifact);
@@ -1108,11 +1101,11 @@ mod tests {
             fn isa(&self) -> qc_target::Isa {
                 qc_target::Isa::Tx64
             }
-            fn compile(
+            fn compile_artifact(
                 &self,
                 _m: &Module,
                 _t: &TimeTrace,
-            ) -> Result<Box<dyn Executable>, BackendError> {
+            ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
                 std::thread::sleep(Duration::from_millis(20));
                 Err(BackendError::new("sleeper compiles nothing"))
             }
@@ -1144,11 +1137,11 @@ mod tests {
             fn isa(&self) -> qc_target::Isa {
                 qc_target::Isa::Tx64
             }
-            fn compile(
+            fn compile_artifact(
                 &self,
                 _m: &Module,
                 _t: &TimeTrace,
-            ) -> Result<Box<dyn Executable>, BackendError> {
+            ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
                 let n = self.calls.fetch_add(1, Ordering::Relaxed);
                 if n < 2 {
                     Err(BackendError::transient("flaky"))

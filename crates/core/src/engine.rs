@@ -1,13 +1,12 @@
 //! Query preparation, compilation, and morsel-wise execution.
 
 use crate::morsel_exec::{ExecTally, QueryExecution, StepProgress};
-use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
+use qc_backend::{BackendError, CodeArtifact, CompileStats, Executable};
 use qc_codegen::{generate, GeneratedQuery};
 use qc_plan::{PhysicalPlan, PlanError, PlanNode, RowLayout};
 use qc_runtime::{RtString, RuntimeState, SqlValue};
 use qc_storage::{ColumnType, Database};
 use qc_target::{ExecStats, Trap};
-use qc_timing::TimeTrace;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -277,11 +276,11 @@ impl PreparedQuery {
 pub struct CompiledQuery {
     /// Executables in pipeline order.
     pub executables: Vec<Box<dyn Executable>>,
-    /// Reusable code artifacts in pipeline order, when the back-end
-    /// produces them (`None` for executable-only back-ends). The
-    /// morsel-parallel executor instantiates one executable per worker
-    /// from these, so every worker runs the same machine code.
-    pub artifacts: Vec<Option<Arc<dyn CodeArtifact>>>,
+    /// The code artifacts the executables were linked from, in
+    /// pipeline order. The morsel-parallel executor links one executable
+    /// per worker from these, so every worker runs the same machine
+    /// code.
+    pub artifacts: Vec<Arc<dyn CodeArtifact>>,
     /// Wall-clock compile time (sum over pipelines).
     pub compile_time: Duration,
     /// Merged compile statistics.
@@ -294,7 +293,7 @@ impl CompiledQuery {
     /// Folds a background-compiled `replacement` tier into this query
     /// in place: compile time and statistics of the replaced tier are
     /// merged so the totals cover both tiers (the accounting contract
-    /// of [`Engine::execute_with_hook`]).
+    /// of [`crate::QueryRun::execute_compiled_with_hook`]).
     pub(crate) fn adopt_replacement(&mut self, mut replacement: CompiledQuery) {
         replacement.compile_time += self.compile_time;
         replacement.compile_stats.merge(&self.compile_stats);
@@ -315,7 +314,7 @@ impl fmt::Debug for CompiledQuery {
 }
 
 /// Snapshot handed to an execution hook after each morsel (see
-/// [`Engine::execute_with_hook`]).
+/// [`crate::QueryRun::execute_compiled_with_hook`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MorselEvent {
     /// Index of the pipeline currently running.
@@ -393,15 +392,7 @@ impl<'db> Engine<'db> {
     }
 
     /// Plans a query and generates its IR.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::Plan`] for schema/type errors.
-    #[deprecated(note = "use `Session::statement` (cached) or `Session::prepare` instead")]
-    pub fn prepare(&self, plan: &PlanNode, name: &str) -> Result<PreparedQuery, EngineError> {
-        self.prepare_internal(plan, name)
-    }
-
-    pub(crate) fn prepare_internal(
+    pub(crate) fn prepare(
         &self,
         plan: &PlanNode,
         name: &str,
@@ -420,83 +411,9 @@ impl<'db> Engine<'db> {
         })
     }
 
-    /// Compiles a prepared query with `backend`, measuring wall-clock time.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::Backend`] when a module is rejected.
-    #[deprecated(note = "use `QueryRun::direct` (same semantics) or `QueryRun::compile` instead")]
-    pub fn compile(
-        &self,
-        prepared: &PreparedQuery,
-        backend: &dyn Backend,
-        trace: &TimeTrace,
-    ) -> Result<CompiledQuery, EngineError> {
-        self.compile_internal(prepared, backend, trace)
-    }
-
-    pub(crate) fn compile_internal(
-        &self,
-        prepared: &PreparedQuery,
-        backend: &dyn Backend,
-        trace: &TimeTrace,
-    ) -> Result<CompiledQuery, EngineError> {
-        let start = Instant::now();
-        let mut executables = Vec::with_capacity(prepared.ir.modules.len());
-        let mut artifacts = Vec::with_capacity(prepared.ir.modules.len());
-        let mut stats = CompileStats::default();
-        for module in &prepared.ir.modules {
-            // Prefer the artifact path: it yields a handle the
-            // morsel-parallel executor can instantiate per worker.
-            // Timed compiles take the one-shot path instead, because
-            // artifact instantiation defers the final link outside the
-            // trace and would drop that phase from the breakdowns.
-            let artifact = if trace.is_enabled() {
-                None
-            } else {
-                backend.compile_artifact(module, trace)?
-            };
-            let (exe, artifact) = match artifact {
-                Some(artifact) => {
-                    let artifact: Arc<dyn CodeArtifact> = Arc::from(artifact);
-                    (artifact.instantiate()?, Some(artifact))
-                }
-                None => (backend.compile(module, trace)?, None),
-            };
-            stats.merge(exe.compile_stats());
-            executables.push(exe);
-            artifacts.push(artifact);
-        }
-        Ok(CompiledQuery {
-            executables,
-            artifacts,
-            compile_time: start.elapsed(),
-            compile_stats: stats,
-            backend_name: backend.name(),
-        })
-    }
-
-    /// Executes a compiled query, returning decoded rows and cycle costs.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::Trap`] when generated code traps.
-    #[deprecated(note = "use `QueryRun::execute` or `QueryRun::execute_compiled` instead")]
-    pub fn execute(
-        &self,
-        prepared: &PreparedQuery,
-        compiled: &mut CompiledQuery,
-    ) -> Result<ExecutionResult, EngineError> {
-        self.execute_internal(prepared, compiled)
-    }
-
-    pub(crate) fn execute_internal(
-        &self,
-        prepared: &PreparedQuery,
-        compiled: &mut CompiledQuery,
-    ) -> Result<ExecutionResult, EngineError> {
-        self.execute_with_hook_internal(prepared, compiled, &mut |_| None)
-    }
-
-    /// Executes a compiled query, consulting `hook` after every morsel.
+    /// Executes a compiled query on the calling thread, consulting
+    /// `hook` after every morsel and checking `budget` at every morsel
+    /// claim.
     ///
     /// When the hook returns a replacement [`CompiledQuery`] (e.g. the
     /// optimizing tier finished compiling in the background), the swap
@@ -507,29 +424,7 @@ impl<'db> Engine<'db> {
     /// and statistics of the replaced query are merged into the
     /// replacement so the returned totals cover both tiers, and
     /// execution cycles are accumulated across the swap.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::Trap`] when generated code traps.
-    #[deprecated(note = "use `QueryRun::execute_compiled_with_hook` instead")]
-    pub fn execute_with_hook(
-        &self,
-        prepared: &PreparedQuery,
-        compiled: &mut CompiledQuery,
-        hook: &mut dyn FnMut(&MorselEvent) -> Option<CompiledQuery>,
-    ) -> Result<ExecutionResult, EngineError> {
-        self.execute_with_hook_internal(prepared, compiled, hook)
-    }
-
-    pub(crate) fn execute_with_hook_internal(
-        &self,
-        prepared: &PreparedQuery,
-        compiled: &mut CompiledQuery,
-        hook: &mut dyn FnMut(&MorselEvent) -> Option<CompiledQuery>,
-    ) -> Result<ExecutionResult, EngineError> {
-        self.execute_budgeted_internal(prepared, compiled, &QueryBudget::unlimited(), hook)
-    }
-
-    pub(crate) fn execute_budgeted_internal(
+    pub(crate) fn execute_budgeted(
         &self,
         prepared: &PreparedQuery,
         compiled: &mut CompiledQuery,
@@ -543,26 +438,6 @@ impl<'db> Engine<'db> {
             }
         }
         exec.into_result(prepared, compiled)
-    }
-
-    /// Prepares, compiles, and executes a plan in one call. Pass a
-    /// [`TimeTrace`] to collect the per-phase compile-time breakdown,
-    /// or `None` to skip tracing overhead.
-    ///
-    /// # Errors
-    /// Propagates planning, compilation, and execution errors.
-    #[deprecated(note = "use `Session::prepare(plan)?.execute()` instead")]
-    pub fn run(
-        &self,
-        plan: &PlanNode,
-        backend: &dyn Backend,
-        trace: Option<&TimeTrace>,
-    ) -> Result<ExecutionResult, EngineError> {
-        let prepared = self.prepare_internal(plan, "q")?;
-        let disabled = TimeTrace::disabled();
-        let trace = trace.unwrap_or(&disabled);
-        let mut compiled = self.compile_internal(&prepared, backend, trace)?;
-        self.execute_internal(&prepared, &mut compiled)
     }
 }
 

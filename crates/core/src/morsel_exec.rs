@@ -9,12 +9,12 @@
 //!    per-tier baseline subtraction in `engine.rs`, which assumed a
 //!    single executor mutating `compiled.executables`.
 //! 2. [`QueryExecution`] — an incremental stepper that runs a prepared
-//!    query morsel by morsel. [`crate::Engine::execute_with_hook`] is a
-//!    loop over [`QueryExecution::step`]; the serving scheduler advances
+//!    query morsel by morsel. Single-worker execution is a loop over
+//!    [`QueryExecution::step`]; the serving scheduler advances
 //!    many executions in slices of a few morsels each.
 //! 3. [`MorselExecutor`] — the parallel executor: a pool of workers,
 //!    each owning a forked [`RuntimeState`] and its own executable
-//!    instantiated from the pipeline's [`CodeArtifact`], pulling morsels
+//!    linked from the pipeline's [`CodeArtifact`], pulling morsels
 //!    from per-pipeline claimers (work-stealing deques or a shared
 //!    ordered counter) and merging results deterministically at every
 //!    pipeline barrier.
@@ -531,7 +531,7 @@ impl MorselExecutor {
     }
 
     /// Executes a compiled query, consulting `hook` after every morsel
-    /// (same contract as [`Engine::execute_with_hook`]).
+    /// (same contract as [`crate::QueryRun::execute_compiled_with_hook`]).
     ///
     /// # Errors
     /// Propagates traps from generated code and storage errors. Under
@@ -581,7 +581,7 @@ impl MorselExecutor {
             // guarantee: a panic in generated code fails the query with
             // a typed error, not the caller.
             return catch_unwind(AssertUnwindSafe(|| {
-                engine.execute_budgeted_internal(prepared, compiled, budget, hook)
+                engine.execute_budgeted(prepared, compiled, budget, hook)
             }))
             .unwrap_or_else(|payload| Err(EngineError::WorkerPanic(panic_text(payload.as_ref()))));
         }
@@ -664,11 +664,14 @@ impl MorselExecutor {
                 }
             };
 
-            // A pipeline goes parallel when splitting can pay off, its
-            // sink merges deterministically, and per-worker executables
-            // can be instantiated from a code artifact.
+            // A pipeline goes parallel when splitting can pay off and its
+            // sink merges deterministically.
             let worker_exes = if morsels.len() >= 2 && sink_merge_supported(&pipe.sink) {
-                instantiate_workers(compiled, pipe_idx, self.config.workers)
+                Some(instantiate_workers(
+                    compiled,
+                    pipe_idx,
+                    self.config.workers,
+                )?)
             } else {
                 None
             };
@@ -761,20 +764,16 @@ impl MorselExecutor {
     }
 }
 
-/// Instantiates one executable per worker from the pipeline's artifact.
-/// Returns `None` when there is no artifact or any instantiation fails
-/// (the caller falls back to the serial path).
+/// Links one executable per worker from the pipeline's artifact.
 fn instantiate_workers(
     compiled: &CompiledQuery,
     pipe_idx: usize,
     workers: usize,
-) -> Option<Vec<Box<dyn Executable>>> {
-    let artifact = compiled.artifacts.get(pipe_idx)?.as_ref()?;
-    let mut exes = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        exes.push(artifact.instantiate().ok()?);
-    }
-    Some(exes)
+) -> Result<Vec<Box<dyn Executable>>, EngineError> {
+    let artifact = &compiled.artifacts[pipe_idx];
+    (0..workers)
+        .map(|_| artifact.instantiate().map_err(EngineError::from))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1095,9 +1094,7 @@ impl ParallelPipeline<'_> {
                             cycles_so_far: tally.cycles,
                         };
                         if let Some(replacement) = hook(&event) {
-                            if let Some(Some(artifact)) = replacement.artifacts.get(self.pipe_idx) {
-                                swap.publish(Arc::clone(artifact));
-                            }
+                            swap.publish(Arc::clone(&replacement.artifacts[self.pipe_idx]));
                             compiled.adopt_replacement(replacement);
                         }
                     }
@@ -1221,14 +1218,7 @@ impl ParallelPipeline<'_> {
         missing: &[usize],
         tally: &mut ExecTally,
     ) -> Result<WorkerOutput, EngineError> {
-        let artifact = compiled
-            .artifacts
-            .get(self.pipe_idx)
-            .and_then(|a| a.as_ref())
-            .ok_or_else(|| {
-                EngineError::WorkerPanic("no artifact to replay panicked morsels".to_string())
-            })?;
-        let mut exe = artifact
+        let mut exe = compiled.artifacts[self.pipe_idx]
             .instantiate()
             .map_err(|e| EngineError::WorkerPanic(format!("replay instantiation failed: {e}")))?;
         let mut wstate = state.fork_worker();

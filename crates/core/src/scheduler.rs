@@ -457,19 +457,6 @@ impl QueryScheduler {
         Ok(QueryScheduler { config })
     }
 
-    /// Creates a scheduler with `config`.
-    ///
-    /// # Panics
-    /// Panics when the configuration is invalid (see
-    /// [`SchedulerConfig::validate`]).
-    #[deprecated(note = "use `QueryScheduler::try_new`, which validates instead of panicking")]
-    pub fn new(config: SchedulerConfig) -> Self {
-        match Self::try_new(config) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Serves `requests` to completion and reports per-session
     /// outcomes plus aggregate throughput/utilization.
     pub fn serve(
@@ -907,7 +894,7 @@ fn admit(
         }
         None => Arc::new(
             engine
-                .prepare_internal(&req.plan, &req.name)
+                .prepare(&req.plan, &req.name)
                 .map_err(|e| fail(&req.name, e))?,
         ),
     };

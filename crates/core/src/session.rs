@@ -122,7 +122,7 @@ impl StatementCache {
         }
         // Prepare outside the lock: planning + codegen can be slow, and
         // a concurrent duplicate prepare is harmless (first insert wins).
-        let prepared = Arc::new(engine.prepare_internal(plan, STATEMENT_NAME)?);
+        let prepared = Arc::new(engine.prepare(plan, STATEMENT_NAME)?);
         let mut inner = self.inner.lock();
         inner.misses += 1;
         if self.capacity == 0 {
@@ -418,7 +418,8 @@ impl<'s, 'db> QueryRun<'s, 'db> {
         self
     }
 
-    /// Overrides the compile service's default [`CompileBudget`].
+    /// Overrides the compile service's default [`CompileBudget`] (or
+    /// the strict one of a [`direct`](Self::direct) run).
     #[must_use]
     pub fn budget(mut self, budget: CompileBudget) -> Self {
         self.budget = Some(budget);
@@ -434,11 +435,11 @@ impl<'s, 'db> QueryRun<'s, 'db> {
         self
     }
 
-    /// Compiles directly on the calling thread, bypassing the compile
-    /// service — no worker fan-out, no code cache, no persistent store,
-    /// no fault envelope. This is the measurement path: benchmarks use
-    /// it so every iteration pays the full, uncached compile and traced
-    /// compiles keep the link phase inside the trace.
+    /// Compiles module by module on the calling thread with neither
+    /// cache tier, under [`CompileBudget::strict`] unless the run sets
+    /// a budget (see [`crate::CompileRequest::direct`]). This is the
+    /// measurement path: benchmarks use it so every iteration pays the
+    /// full, uncached compile and link.
     #[must_use]
     pub fn direct(mut self) -> Self {
         self.direct = true;
@@ -459,25 +460,13 @@ impl<'s, 'db> QueryRun<'s, 'db> {
             .backend
             .clone()
             .unwrap_or_else(|| Arc::clone(&self.session.default_backend));
-        if self.direct {
-            let disabled;
-            let trace = match self.trace {
-                Some(t) => t,
-                None => {
-                    disabled = TimeTrace::disabled();
-                    &disabled
-                }
-            };
-            return self.session.engine.compile_internal(
-                self.statement.query(),
-                backend.as_ref(),
-                trace,
-            );
-        }
         let mut request = self
             .session
             .service
             .request(self.statement.query(), &backend);
+        if self.direct {
+            request = request.direct();
+        }
         if let Some(trace) = self.trace {
             request = request.trace(trace);
         }

@@ -3,7 +3,7 @@
 //! compiling back-end, including trap behavior.
 
 use proptest::prelude::*;
-use qc_backend::Backend;
+use qc_backend::{compile_module, Backend};
 use qc_engine::backends;
 use qc_ir::{CmpOp, FunctionBuilder, Module, Opcode, Signature, Type};
 use qc_runtime::RuntimeState;
@@ -83,8 +83,8 @@ fn build_module(ops: &[Op], x: i64, y: i64) -> Module {
 }
 
 fn run_backend(backend: &dyn Backend, m: &Module, x: i64, y: i64) -> Result<u64, String> {
-    let mut exe = backend
-        .compile(m, &TimeTrace::disabled())
+    let mut exe = compile_module(backend, m, &TimeTrace::disabled())
+        .and_then(|a| a.instantiate())
         .map_err(|e| e.to_string())?;
     let mut state = RuntimeState::new();
     exe.call(&mut state, "f", &[x as u64, y as u64])

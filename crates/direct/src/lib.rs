@@ -22,11 +22,8 @@
 
 pub mod codegen;
 
-use qc_backend::{
-    Backend, BackendError, CodeArtifact, CompileStats, Executable, NativeArtifact, NativeExecutable,
-};
+use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, LinkPhase, NativeArtifact};
 use qc_ir::{Cfg, DomTree, Liveness, Loops, Module, ReversePostorder};
-use qc_runtime::resolve_runtime;
 use qc_target::{ImageBuilder, Isa};
 use qc_timing::TimeTrace;
 
@@ -50,34 +47,22 @@ impl Backend for DirectBackend {
         Isa::Tx64
     }
 
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        let (image, mut stats) =
-            build_parts(module, trace).map_err(|e| e.in_backend(self.name()))?;
-        let _t = trace.scope("link");
-        let linked = image
-            .link(&|name| resolve_runtime(name))
-            .map_err(|e| BackendError::new(e.to_string()).in_backend(self.name()))?;
-        stats.code_bytes = linked.len();
-        Ok(Box::new(NativeExecutable::new(linked, stats)))
-    }
-
     fn compile_artifact(
         &self,
         module: &Module,
         trace: &TimeTrace,
     ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
         let (image, stats) = build_parts(module, trace).map_err(|e| e.in_backend(self.name()))?;
-        Ok(Some(Box::new(NativeArtifact::new(image, stats))))
+        Ok(Some(Box::new(NativeArtifact::new(
+            image,
+            stats,
+            LinkPhase::Link,
+        ))))
     }
 }
 
 /// Runs both DirectEmit passes over every function, producing the
-/// unlinked image; `compile` links it immediately, `compile_artifact`
-/// defers linking to instantiation.
+/// unlinked image.
 fn build_parts(
     module: &Module,
     trace: &TimeTrace,
@@ -134,6 +119,7 @@ fn build_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_backend::compile_module;
     use qc_ir::{CmpOp, FunctionBuilder, Opcode, Signature, Type};
     use qc_runtime::RuntimeState;
     use qc_target::Trap;
@@ -149,8 +135,8 @@ mod tests {
         qc_ir::verify_function(&f).unwrap();
         let mut m = Module::new("m");
         m.push_function(f);
-        let mut exe = DirectBackend::new()
-            .compile(&m, &TimeTrace::disabled())
+        let mut exe = compile_module(&DirectBackend::new(), &m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
             .unwrap();
         let mut state = RuntimeState::new();
         exe.call(&mut state, "f", args)
@@ -401,7 +387,9 @@ mod tests {
         bd.ret(None);
         let mut m = Module::new("m");
         m.push_function(bd.finish());
-        let err = match DirectBackend::new().compile(&m, &TimeTrace::disabled()) {
+        let err = match compile_module(&DirectBackend::new(), &m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
+        {
             Err(e) => e,
             Ok(_) => panic!("expected irreducible rejection"),
         };

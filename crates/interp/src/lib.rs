@@ -43,22 +43,13 @@ impl Backend for InterpBackend {
         Isa::Tx64
     }
 
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        // Errors name the tier so fallback-chain downgrades are
-        // attributable (idem for the other back-ends).
-        let artifact = build_artifact(module, trace).map_err(|e| e.in_backend(self.name()))?;
-        artifact.instantiate()
-    }
-
     fn compile_artifact(
         &self,
         module: &Module,
         trace: &TimeTrace,
     ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
+        // Errors name the tier so fallback-chain downgrades are
+        // attributable (idem for the other back-ends).
         let artifact = build_artifact(module, trace).map_err(|e| e.in_backend(self.name()))?;
         Ok(Some(Box::new(artifact)))
     }
@@ -80,15 +71,15 @@ fn build_artifact(module: &Module, trace: &TimeTrace) -> Result<InterpArtifact, 
 }
 
 /// [`CodeArtifact`] for the interpreter: bytecode is position
-/// independent, so instantiation just shares the translated
-/// [`Program`] and resets execution statistics.
+/// independent, so linking just shares the translated [`Program`] and
+/// resets execution statistics (there is no link phase to trace).
 pub struct InterpArtifact {
     program: Arc<Program>,
     stats: CompileStats,
 }
 
 impl CodeArtifact for InterpArtifact {
-    fn instantiate(&self) -> Result<Box<dyn Executable>, BackendError> {
+    fn link(&self, _trace: &TimeTrace) -> Result<Box<dyn Executable>, BackendError> {
         Ok(Box::new(InterpExecutable {
             program: Arc::clone(&self.program),
             stats: self.stats.clone(),
@@ -146,6 +137,7 @@ impl Executable for InterpExecutable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_backend::compile_module;
     use qc_ir::{CmpOp, FunctionBuilder, Opcode, Signature, Type};
 
     fn run_one(
@@ -160,7 +152,9 @@ mod tests {
         let mut m = Module::new("m");
         m.push_function(f);
         let backend = InterpBackend::new();
-        let mut exe = backend.compile(&m, &TimeTrace::disabled()).unwrap();
+        let mut exe = compile_module(&backend, &m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
+            .unwrap();
         let mut state = RuntimeState::new();
         exe.call(&mut state, "f", args)
     }
@@ -333,8 +327,8 @@ mod tests {
         bld.ret(Some(r));
         let mut m = Module::new("m");
         m.push_function(bld.finish());
-        let mut exe = InterpBackend::new()
-            .compile(&m, &TimeTrace::disabled())
+        let mut exe = compile_module(&InterpBackend::new(), &m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
             .unwrap();
         let r = exe
             .call(&mut state, "f", &[a.lo, a.hi, b2.lo, b2.hi])

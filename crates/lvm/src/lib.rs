@@ -34,9 +34,7 @@ pub use lir::PairRepr;
 
 use qc_backend::memit::MirEmitter;
 use qc_backend::mir::{CallTarget, MInst};
-use qc_backend::{
-    Backend, BackendError, CodeArtifact, CompileStats, Executable, NativeArtifact, NativeExecutable,
-};
+use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, LinkPhase, NativeArtifact};
 use qc_ir::Module;
 use qc_runtime::resolve_runtime;
 use qc_target::{ImageBuilder, Isa, SymbolRef, UnwindEntry};
@@ -170,97 +168,40 @@ impl Backend for LvmBackend {
             | u64::from(o.global_isel) << 3
     }
 
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        let Parts {
-            image,
-            mut stats,
-            func_names,
-            used_syms,
-            lir,
-        } = self
-            .build_parts(module, trace)
-            .map_err(|e| e.in_backend(self.name()))?;
-
-        // --- ORC-style 4-phase link ---
-        let linked = {
-            let _t = trace.scope("link");
-            {
-                let _p1 = trace.scope("phase1_alloc");
-                // Recover/prune symbols: hash every defined symbol name.
-                let mut h = 0u64;
-                for n in &func_names {
-                    h = h.wrapping_mul(31).wrapping_add(n.len() as u64);
-                }
-                std::hint::black_box(h);
-            }
-            {
-                let _p2 = trace.scope("phase2_resolve");
-                for s in &used_syms {
-                    std::hint::black_box(resolve_runtime(s));
-                }
-            }
-            let img = {
-                let _p3 = trace.scope("phase3_apply");
-                image
-                    .link(&|name| resolve_runtime(name))
-                    .map_err(|e| BackendError::new(e.to_string()).in_backend(self.name()))?
-            };
-            {
-                let _p4 = trace.scope("phase4_lookup");
-                for n in &func_names {
-                    std::hint::black_box(img.addr_of(n));
-                }
-            }
-            img
-        };
-
-        // --- IR destruction, measured separately. ---
-        {
-            let _t = trace.scope("irdtor");
-            drop(lir);
-        }
-
-        stats.code_bytes = linked.len();
-        Ok(Box::new(NativeExecutable::new(linked, stats)))
-    }
-
     fn compile_artifact(
         &self,
         module: &Module,
         trace: &TimeTrace,
     ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
-        let Parts {
-            image, stats, lir, ..
-        } = self
+        let Parts { image, stats, lir } = self
             .build_parts(module, trace)
             .map_err(|e| e.in_backend(self.name()))?;
+        // --- IR destruction, measured separately. ---
         {
             let _t = trace.scope("irdtor");
             drop(lir);
         }
-        Ok(Some(Box::new(NativeArtifact::new(image, stats))))
+        // The ORC-style 4-phase link runs when the artifact is linked.
+        Ok(Some(Box::new(NativeArtifact::new(
+            image,
+            stats,
+            LinkPhase::Orc,
+        ))))
     }
 }
 
 /// Everything [`LvmBackend::build_parts`] produces before the ORC link:
-/// the unlinked image plus the side data the 4-phase link ceremony
-/// consumes.
+/// the unlinked image, its statistics, and the lowered IR (destroyed
+/// under its own phase).
 struct Parts {
     image: ImageBuilder,
     stats: CompileStats,
-    func_names: Vec<String>,
-    used_syms: HashSet<String>,
     lir: Module,
 }
 
 impl LvmBackend {
     /// Pipeline phases 1–8 short of linking (TargetMachine through
-    /// AsmPrinter and PLT+GOT synthesis); `compile` follows with the
-    /// ORC link, `compile_artifact` defers linking to instantiation.
+    /// AsmPrinter and PLT+GOT synthesis).
     #[allow(clippy::too_many_lines)]
     fn build_parts(&self, module: &Module, trace: &TimeTrace) -> Result<Parts, BackendError> {
         let o = self.options;
@@ -542,19 +483,14 @@ impl LvmBackend {
         }
 
         stats.functions = module.len();
-        Ok(Parts {
-            image,
-            stats,
-            func_names,
-            used_syms,
-            lir,
-        })
+        Ok(Parts { image, stats, lir })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_backend::compile_module;
     use qc_ir::{CmpOp, FunctionBuilder, Opcode, Signature, Type};
     use qc_runtime::RuntimeState;
     use qc_target::Trap;
@@ -572,7 +508,9 @@ mod tests {
         let mut m = Module::new("m");
         m.push_function(f);
         let backend = LvmBackend::with_options(options);
-        let mut exe = match backend.compile(&m, &TimeTrace::disabled()) {
+        let mut exe = match compile_module(&backend, &m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
+        {
             Ok(e) => e,
             Err(e) => panic!("{e}"),
         };
@@ -677,8 +615,8 @@ mod tests {
         m.push_function(b.finish());
         let mut o = LvmOptions::defaults(Isa::Tx64, OptMode::Cheap);
         o.global_isel = true;
-        let err = LvmBackend::with_options(o)
-            .compile(&m, &TimeTrace::disabled())
+        let err = compile_module(&LvmBackend::with_options(o), &m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
             .err()
             .expect("must be rejected");
         assert!(err.to_string().contains("GlobalISel"), "{err}");
@@ -711,8 +649,8 @@ mod tests {
             let mut o = LvmOptions::defaults(Isa::Tx64, OptMode::Cheap);
             o.small_pic = small_pic;
             let m = build();
-            let mut exe = LvmBackend::with_options(o)
-                .compile(&m, &TimeTrace::disabled())
+            let mut exe = compile_module(&LvmBackend::with_options(o), &m, &TimeTrace::disabled())
+                .and_then(|a| a.instantiate())
                 .unwrap();
             let calls = exe
                 .compile_stats()
@@ -740,7 +678,9 @@ mod tests {
         let mut m = Module::new("m");
         m.push_function(b.finish());
         let backend = LvmBackend::new(Isa::Tx64, OptMode::Cheap);
-        let exe = backend.compile(&m, &TimeTrace::disabled()).unwrap();
+        let exe = compile_module(&backend, &m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
+            .unwrap();
         assert!(
             exe.compile_stats()
                 .counters
@@ -777,8 +717,8 @@ mod tests {
             m.push_function(bld.finish());
             let mut o = LvmOptions::defaults(Isa::Tx64, OptMode::Cheap);
             o.pair_repr = repr;
-            let mut exe = LvmBackend::with_options(o)
-                .compile(&m, &TimeTrace::disabled())
+            let mut exe = compile_module(&LvmBackend::with_options(o), &m, &TimeTrace::disabled())
+                .and_then(|a| a.instantiate())
                 .unwrap();
             let c = exe.compile_stats().counters.clone();
             fallbacks.push(
@@ -804,8 +744,8 @@ mod tests {
         let mut m = Module::new("m");
         m.push_function(b.finish());
         let trace = TimeTrace::new();
-        let _ = LvmBackend::new(Isa::Tx64, OptMode::Optimized)
-            .compile(&m, &trace)
+        let _ = compile_module(&LvmBackend::new(Isa::Tx64, OptMode::Optimized), &m, &trace)
+            .and_then(|a| a.link(&trace))
             .unwrap();
         let report = trace.report();
         for phase in [
@@ -847,9 +787,13 @@ mod tests {
             build(&mut bld);
             let mut m = Module::new("m");
             m.push_function(bld.finish());
-            let exe = LvmBackend::new(Isa::Tx64, mode)
-                .compile(&m, &TimeTrace::disabled())
-                .unwrap();
+            let exe = compile_module(
+                &LvmBackend::new(Isa::Tx64, mode),
+                &m,
+                &TimeTrace::disabled(),
+            )
+            .and_then(|a| a.instantiate())
+            .unwrap();
             sizes.push(exe.compile_stats().code_bytes);
         }
         assert!(

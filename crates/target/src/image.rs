@@ -25,7 +25,7 @@ use crate::reloc::{Reloc, RelocKind};
 use crate::ta64::{self, BL_RANGE};
 use crate::tx64;
 use crate::unwind::UnwindEntry;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// An error reported by [`ImageBuilder::link`] (or while adding items).
@@ -58,6 +58,9 @@ impl std::error::Error for LinkError {}
 /// any incompatible layout change so stale on-disk artifacts are
 /// rejected instead of misparsed.
 const IMAGE_FORMAT_VERSION: u32 = 1;
+
+/// Largest item alignment a decoded image may request (one page).
+const MAX_ALIGN: u64 = 4096;
 
 /// An error decoding [`ImageBuilder::serialize_bytes`] output
 /// (truncation, bad tags, version mismatch, trailing garbage).
@@ -229,6 +232,26 @@ impl ImageBuilder {
         self.unwind.push((off, entry));
     }
 
+    /// Names of the functions added so far, in insertion order.
+    pub fn function_names(&self) -> impl Iterator<Item = &str> {
+        self.items
+            .iter()
+            .filter(|i| i.is_code)
+            .map(|i| i.name.as_str())
+    }
+
+    /// Symbols referenced by relocations but defined by no item — what
+    /// the resolver passed to [`Self::link`] must supply — sorted and
+    /// deduplicated.
+    pub fn external_symbols(&self) -> BTreeSet<&str> {
+        self.items
+            .iter()
+            .flat_map(|i| &i.relocs)
+            .map(|r| r.sym.name.as_str())
+            .filter(|name| !self.by_name.contains_key(*name))
+            .collect()
+    }
+
     /// Approximate retained heap size in bytes (payload, relocations,
     /// names), used by the engine's code cache for its byte bound.
     pub fn approx_size(&self) -> usize {
@@ -339,7 +362,7 @@ impl ImageBuilder {
         for _ in 0..n_items {
             let name = r.str()?;
             let align = r.u64()?;
-            if !align.is_power_of_two() {
+            if !align.is_power_of_two() || align > MAX_ALIGN {
                 return Err(ImageCodecError(format!("invalid alignment {align}")));
             }
             let is_code = r.bool()?;
@@ -347,7 +370,7 @@ impl ImageBuilder {
             let n_relocs = r.u64()?;
             let mut relocs = Vec::new();
             for _ in 0..n_relocs {
-                let offset = r.u64()? as usize;
+                let offset = r.u64()?;
                 let kind = match r.u8()? {
                     t if t == RelocKind::Rel32 as u8 => RelocKind::Rel32,
                     t if t == RelocKind::Abs64 as u8 => RelocKind::Abs64,
@@ -355,6 +378,19 @@ impl ImageBuilder {
                     t if t == RelocKind::MovSeqAbs64 as u8 => RelocKind::MovSeqAbs64,
                     t => return Err(ImageCodecError(format!("invalid reloc kind {t}"))),
                 };
+                // The patched field must lie inside its item, or the
+                // link would write outside the payload.
+                let field = match kind {
+                    RelocKind::Rel32 | RelocKind::Rel24Words => 4,
+                    RelocKind::Abs64 => 8,
+                    RelocKind::MovSeqAbs64 => 16,
+                };
+                let offset = usize::try_from(offset)
+                    .ok()
+                    .filter(|o| o.checked_add(field).is_some_and(|end| end <= payload.len()))
+                    .ok_or_else(|| {
+                        ImageCodecError(format!("relocation at {offset} outside item `{name}`"))
+                    })?;
                 let sym = crate::reloc::SymbolRef::named(&r.str()?);
                 let addend = r.u64()? as i64;
                 relocs.push(Reloc {
@@ -366,16 +402,31 @@ impl ImageBuilder {
             }
             builder.add_item(&name, payload, relocs, align, is_code);
         }
+        let offsets = builder.provisional_offsets();
         let n_unwind = r.u64()?;
         for _ in 0..n_unwind {
             let off = r.u64()?;
+            let (start, end) = (r.u64()?, r.u64()?);
             let entry = UnwindEntry {
-                start: r.u64()? as usize,
-                end: r.u64()? as usize,
+                start: start as usize,
+                end: end as usize,
                 frame_size: u32::try_from(r.u64()?)
                     .map_err(|_| ImageCodecError("frame size out of range".into()))?,
                 synchronous_only: r.bool()?,
             };
+            // An unwind entry must key an item and cover a range inside
+            // it; the linker relocates it by that key.
+            let item = offsets
+                .iter()
+                .position(|&p| p == off)
+                .map(|i| &builder.items[i])
+                .ok_or_else(|| ImageCodecError(format!("unwind entry for unknown offset {off}")))?;
+            if start > end || end > item.bytes.len() as u64 {
+                return Err(ImageCodecError(format!(
+                    "unwind range {start}..{end} outside item `{}`",
+                    item.name
+                )));
+            }
             builder.add_unwind(off, entry);
         }
         if r.at != bytes.len() {
@@ -523,36 +574,38 @@ impl ImageBuilder {
             }
         };
 
-        // Patch relocation sites.
+        // Patch relocation sites. Addends come from possibly untrusted
+        // (deserialized) images, so displacement arithmetic wraps and
+        // the range checks reject whatever does not fit.
         for (i, item) in self.items.iter().enumerate() {
             for (r, &tgt) in item.relocs.iter().zip(&targets[i]) {
                 let field = (item_offs[i] as usize) + r.offset;
+                let out_of_range = || LinkError::OutOfRange(r.sym.name.clone());
+                let pc_rel = || {
+                    let dest = (call_target(i, &r.sym.name, tgt) as i64).wrapping_add(r.addend);
+                    dest.wrapping_sub(base as i64 + field as i64 + 4)
+                };
                 match r.kind {
                     RelocKind::Rel32 => {
-                        let dest = call_target(i, &r.sym.name, tgt) as i64 + r.addend;
-                        let rel = dest - (base as i64 + field as i64 + 4);
-                        let rel = i32::try_from(rel)
-                            .map_err(|_| LinkError::OutOfRange(r.sym.name.clone()))?;
+                        let rel = i32::try_from(pc_rel()).map_err(|_| out_of_range())?;
                         buf[field..field + 4].copy_from_slice(&rel.to_le_bytes());
                     }
                     RelocKind::Rel24Words => {
-                        let dest = call_target(i, &r.sym.name, tgt) as i64 + r.addend;
-                        let rel = dest - (base as i64 + field as i64 + 4);
-                        debug_assert_eq!(rel % 4, 0, "misaligned TA64 call target");
+                        let rel = pc_rel();
                         let words = rel / 4;
-                        if !(-(1 << 23)..(1 << 23)).contains(&words) {
-                            return Err(LinkError::OutOfRange(r.sym.name.clone()));
+                        if rel % 4 != 0 || !(-(1 << 23)..(1 << 23)).contains(&words) {
+                            return Err(out_of_range());
                         }
                         let old = u32::from_le_bytes(buf[field..field + 4].try_into().unwrap());
                         let new = (old & 0xFF00_0000) | (words as u32 & 0x00FF_FFFF);
                         buf[field..field + 4].copy_from_slice(&new.to_le_bytes());
                     }
                     RelocKind::Abs64 => {
-                        let v = (sym_addr(tgt) as i64 + r.addend) as u64;
+                        let v = (sym_addr(tgt) as i64).wrapping_add(r.addend) as u64;
                         buf[field..field + 8].copy_from_slice(&v.to_le_bytes());
                     }
                     RelocKind::MovSeqAbs64 => {
-                        let v = (sym_addr(tgt) as i64 + r.addend) as u64;
+                        let v = (sym_addr(tgt) as i64).wrapping_add(r.addend) as u64;
                         patch_mov_seq(&mut buf[field..field + 16], v);
                     }
                 }

@@ -278,3 +278,39 @@ fn zero_l1_capacity_still_serves_disk_hits() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn lvm_artifact_from_disk_links_under_a_trace() {
+    let dir = fresh_dir("lvm-link");
+    let db = qc_storage::gen_hlike(0.02);
+    let q = &qc_workloads::hlike_suite()[0];
+    let backend: Arc<dyn Backend> = Arc::from(backends::lvm_cheap(Isa::Tx64));
+    compile_via_service(&store_session(&db, &dir), &q.plan, &backend);
+
+    // After a restart every module comes from the disk tier; linking it
+    // under a trace still records LVM's ORC link and its four phases.
+    let warm = store_session(&db, &dir);
+    let trace = qc_timing::TimeTrace::new();
+    let compiled = warm
+        .prepare(&q.plan)
+        .expect("prepare")
+        .backend(Arc::clone(&backend))
+        .trace(&trace)
+        .compile()
+        .expect("compile");
+    let modules = compiled.artifacts.len() as u64;
+    assert_eq!(warm.compile_service().cache_stats().disk_hits, modules);
+    let report = trace.report();
+    assert_eq!(report.count("isel"), 0, "disk hits must skip codegen");
+    for phase in [
+        "link",
+        "link/phase1_alloc",
+        "link/phase2_resolve",
+        "link/phase3_apply",
+        "link/phase4_lookup",
+    ] {
+        assert_eq!(report.count(phase), modules, "{phase}");
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

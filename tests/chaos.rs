@@ -79,9 +79,9 @@ fn every_pick_survives_a_faulty_top_tier() {
     let service = CompileService::default();
     let trace = TimeTrace::disabled();
     let faults = [
-        ChaosFault::Panic,
-        ChaosFault::PermanentError,
-        ChaosFault::TransientError, // exhausts retries, then downgrades
+        ChaosFault::CompilePanic,
+        ChaosFault::CompilePermanent,
+        ChaosFault::CompileTransient, // exhausts retries, then downgrades
     ];
     for fault in faults {
         let chain = chaotic_chain(0, fault);
@@ -137,7 +137,7 @@ fn cascade_degrades_to_the_first_healthy_tier() {
     let prepared = stmt.query();
     let chain_len = FallbackChain::standard(Isa::Tx64).tiers().len();
     for k in 0..chain_len - 1 {
-        let chain = chaotic_chain(k, ChaosFault::Panic);
+        let chain = chaotic_chain(k, ChaosFault::CompilePanic);
         let (mut compiled, report) = service
             .compile_with_fallback(prepared, &chain, CompileBudget::default(), &trace)
             .unwrap_or_else(|e| panic!("cascade k={k}: {e}"));
@@ -171,7 +171,7 @@ fn all_tiers_faulty_is_a_clean_error() {
     let stmt = session.statement(&plan).expect("prepare");
     let prepared = stmt.query();
     let chain_len = FallbackChain::standard(Isa::Tx64).tiers().len();
-    let chain = chaotic_chain(chain_len - 1, ChaosFault::Panic);
+    let chain = chaotic_chain(chain_len - 1, ChaosFault::CompilePanic);
     match service.compile_with_fallback(
         prepared,
         &chain,
@@ -210,7 +210,7 @@ fn deadline_overrun_downgrades_and_does_not_pollute_the_cache() {
     let clean = FallbackChain::standard(Isa::Tx64);
     let slow: Arc<dyn Backend> = Arc::new(ChaosBackend::always(
         Arc::clone(&clean.tiers()[0]),
-        ChaosFault::Delay(Duration::from_millis(100)),
+        ChaosFault::CompileDelay(Duration::from_millis(100)),
     ));
     let mut tiers = clean.tiers().to_vec();
     tiers[0] = slow;
@@ -258,7 +258,7 @@ fn transient_fault_is_retried_on_the_same_tier() {
     let flaky: Arc<dyn Backend> = Arc::new(ChaosBackend::on_nth(
         Arc::clone(&clean.tiers()[0]),
         0,
-        ChaosFault::TransientError,
+        ChaosFault::CompileTransient,
     ));
     let mut tiers = clean.tiers().to_vec();
     tiers[0] = flaky;
@@ -301,13 +301,13 @@ fn seeded_chaos_soak_keeps_results_correct() {
         Arc::clone(&clean.tiers()[0]),
         0x5EED_0001,
         300,
-        ChaosFault::Panic,
+        ChaosFault::CompilePanic,
     ));
     tiers[1] = Arc::new(ChaosBackend::seeded(
         Arc::clone(&clean.tiers()[1]),
         0x5EED_0002,
         300,
-        ChaosFault::PermanentError,
+        ChaosFault::CompilePermanent,
     ));
     let chain = FallbackChain::new(tiers);
 

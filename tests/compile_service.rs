@@ -331,7 +331,7 @@ fn background_tier_failure_keeps_the_cheap_tier_result() {
     let mut baseline_compiled = direct_compile(&session, &stmt, &cheap);
     let baseline = execute(&session, &stmt, &mut baseline_compiled);
 
-    for fault in [ChaosFault::Panic, ChaosFault::PermanentError] {
+    for fault in [ChaosFault::CompilePanic, ChaosFault::CompilePermanent] {
         let optimized: Arc<dyn Backend> = Arc::new(ChaosBackend::always(
             Arc::from(backends::lvm_opt(Isa::Tx64)),
             fault,
@@ -359,7 +359,7 @@ fn background_tier_failure_keeps_the_cheap_tier_result() {
             .background_error
             .unwrap_or_else(|| panic!("{fault:?}: background failure must be reported"));
         match fault {
-            ChaosFault::Panic => assert_eq!(err.kind, BackendErrorKind::Panic),
+            ChaosFault::CompilePanic => assert_eq!(err.kind, BackendErrorKind::Panic),
             _ => assert_eq!(err.kind, BackendErrorKind::Permanent),
         }
         assert_eq!(
@@ -399,26 +399,30 @@ fn background_tier_failure_keeps_the_cheap_tier_result() {
 #[test]
 fn tier_up_merges_compile_stats_across_tiers() {
     let db = qc_storage::gen_hlike(0.05);
-    let session = Session::new(&db);
+    let session = Session::with_config(
+        &db,
+        SessionConfig {
+            engine: EngineConfig { morsel_size: 256 },
+            ..Default::default()
+        },
+    );
     let stmt = multi_pipeline_query(&session);
     let prepared = stmt.query();
+    let service = CompileService::default();
     let cheap: Arc<dyn Backend> = Arc::from(backends::interpreter());
-    let optimized = backends::clift(Isa::Tx64);
-    // Force the tier-up path with a policy whose threshold is trivially
-    // exceeded.
-    let policy = AdaptiveExecution {
-        expected_executions: u64::MAX / 2,
-        benefit_threshold: 1,
-    };
-    let (result, outcome) = policy
-        .run(
+    let optimized: Arc<dyn Backend> = Arc::from(backends::clift(Isa::Tx64));
+    // Swap the optimizing tier in at a fixed morsel boundary.
+    let (result, report) = AdaptiveExecution::default()
+        .run_background(
             session.engine(),
+            &service,
             prepared,
-            cheap.as_ref(),
-            optimized.as_ref(),
+            &cheap,
+            &optimized,
+            Some(1),
         )
         .expect("adaptive run");
-    assert_eq!(outcome, AdaptiveOutcome::TieredUp);
+    assert_eq!(report.outcome, AdaptiveOutcome::TieredUp);
     let mut cheap_only = direct_compile(&session, &stmt, &cheap);
     let cheap_result = execute(&session, &stmt, &mut cheap_only);
     // Both tiers contribute: the merged stats must strictly exceed the

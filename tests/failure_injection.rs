@@ -4,7 +4,7 @@
 //! compile deadlines, transient-retry, storage races).
 
 use qc_backend::chaos::{ChaosBackend, ChaosFault};
-use qc_backend::{Backend, BackendErrorKind};
+use qc_backend::{compile_module, Backend, BackendErrorKind};
 use qc_engine::{backends, CompileBudget, CompileService, EngineError, PreparedStatement, Session};
 use qc_ir::{FunctionBuilder, Module, Opcode, Signature, Type};
 use qc_plan::{col, lit_i64, PlanNode};
@@ -50,7 +50,9 @@ fn binop_module(op: Opcode) -> Module {
 }
 
 fn call_on(backend: &dyn Backend, m: &Module, x: i64, y: i64) -> Result<u64, Trap> {
-    let mut exe = backend.compile(m, &TimeTrace::disabled()).expect("compile");
+    let mut exe = compile_module(backend, m, &TimeTrace::disabled())
+        .and_then(|a| a.instantiate())
+        .expect("compile");
     let mut state = RuntimeState::new();
     exe.call(&mut state, "f", &[x as u64, y as u64])
         .map(|r| r[0])
@@ -266,7 +268,7 @@ fn compile_panic_is_isolated_and_the_pool_survives() {
 
     let chaotic: std::sync::Arc<dyn Backend> = std::sync::Arc::new(ChaosBackend::always(
         std::sync::Arc::from(backends::lvm_cheap(Isa::Tx64)),
-        ChaosFault::Panic,
+        ChaosFault::CompilePanic,
     ));
     match service.compile(prepared, &chaotic, &trace) {
         Err(EngineError::Backend(e)) => {
@@ -303,7 +305,7 @@ fn compile_deadline_overrun_is_a_deadline_error_and_never_cached() {
 
     let slow: std::sync::Arc<dyn Backend> = std::sync::Arc::new(ChaosBackend::always(
         std::sync::Arc::from(backends::lvm_cheap(Isa::Tx64)),
-        ChaosFault::Delay(std::time::Duration::from_millis(20)),
+        ChaosFault::CompileDelay(std::time::Duration::from_millis(20)),
     ));
     let budget = CompileBudget::with_deadline(std::time::Duration::from_millis(2));
     match service.compile_budgeted(prepared, &slow, budget, &trace) {
@@ -340,7 +342,7 @@ fn transient_compile_fault_is_retried_to_success() {
     let flaky: std::sync::Arc<dyn Backend> = std::sync::Arc::new(ChaosBackend::on_nth(
         std::sync::Arc::from(backends::lvm_cheap(Isa::Tx64)),
         0,
-        ChaosFault::TransientError,
+        ChaosFault::CompileTransient,
     ));
     let mut compiled = service
         .compile(prepared, &flaky, &trace)
@@ -363,7 +365,7 @@ fn transient_faults_beyond_the_retry_budget_fail_with_the_last_error() {
 
     let broken: std::sync::Arc<dyn Backend> = std::sync::Arc::new(ChaosBackend::always(
         std::sync::Arc::from(backends::lvm_cheap(Isa::Tx64)),
-        ChaosFault::TransientError,
+        ChaosFault::CompileTransient,
     ));
     match service.compile(prepared, &broken, &trace) {
         Err(EngineError::Backend(e)) => {

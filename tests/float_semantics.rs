@@ -3,7 +3,7 @@
 //! and all back-ends implement the full float ALU, comparisons, selects,
 //! and conversions — results must be bit-identical to Rust `f64`.
 
-use qc_backend::Backend;
+use qc_backend::{compile_module, Backend};
 use qc_engine::backends;
 use qc_ir::{CastOp, CmpOp, FunctionBuilder, Module, Opcode, Signature, Type};
 use qc_runtime::RuntimeState;
@@ -19,7 +19,9 @@ fn all_backends() -> Vec<Box<dyn Backend>> {
 fn run_all_f64(m: &Module, args: &[u64], expected_bits: u64) {
     qc_ir::verify_module(m).expect("verify");
     for backend in all_backends() {
-        let mut exe = backend.compile(m, &TimeTrace::disabled()).expect("compile");
+        let mut exe = compile_module(backend.as_ref(), m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
+            .expect("compile");
         let mut state = RuntimeState::new();
         let got = exe
             .call(&mut state, "f", args)
@@ -100,8 +102,8 @@ fn float_to_int_roundtrip() {
     m.push_function(b.finish());
     qc_ir::verify_module(&m).expect("verify");
     for backend in all_backends() {
-        let mut exe = backend
-            .compile(&m, &TimeTrace::disabled())
+        let mut exe = compile_module(backend.as_ref(), &m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
             .expect("compile");
         let mut state = RuntimeState::new();
         for x in [0i64, 14, -100, 1 << 20] {

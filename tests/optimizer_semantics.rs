@@ -4,7 +4,7 @@
 //! including trap behavior.
 
 use proptest::prelude::*;
-use qc_backend::Backend;
+use qc_backend::compile_module;
 use qc_ir::opt::{pass_cse, pass_dce, pass_instcombine, pass_licm, pass_phi_prune};
 use qc_ir::{CmpOp, Function, FunctionBuilder, Module, Opcode, Signature, Type};
 use qc_runtime::RuntimeState;
@@ -109,8 +109,8 @@ fn run_interp(f: Function, x: i64, y: i64) -> Result<u64, String> {
     m.push_function(f);
     qc_ir::verify_module(&m).map_err(|e| format!("verify: {e}"))?;
     let backend = qc_interp::InterpBackend::new();
-    let mut exe = backend
-        .compile(&m, &TimeTrace::disabled())
+    let mut exe = compile_module(&backend, &m, &TimeTrace::disabled())
+        .and_then(|a| a.instantiate())
         .map_err(|e| e.to_string())?;
     let mut state = RuntimeState::new();
     exe.call(&mut state, "f", &[x as u64, y as u64])

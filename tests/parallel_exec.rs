@@ -91,41 +91,48 @@ fn static_schedule_cycles_are_reproducible() {
         },
     );
     let backend: Arc<dyn qc_backend::Backend> = Arc::from(backends::clift(Isa::Tx64));
-    let trace = TimeTrace::disabled();
     let q = &qc_workloads::hlike_suite()[0];
     let stmt = session.statement(&q.plan).expect("prepare");
     let executor = MorselExecutor::new(MorselExecConfig {
         workers: 4,
         schedule: MorselSchedule::Static,
     });
-    let mut cycles = Vec::new();
-    let mut critical = Vec::new();
-    for _ in 0..3 {
-        let run = session
-            .run(stmt.clone())
-            .backend(Arc::clone(&backend))
-            .trace(&trace)
-            .direct();
-        let mut compiled = run.compile().expect("compile");
-        let result = executor
-            .execute(session.engine(), stmt.query(), &mut compiled)
-            .expect("static parallel run");
-        cycles.push(result.exec_stats.cycles);
-        critical.push(result.critical_path_cycles);
+    let mut results = Vec::new();
+    // Tracing the compile must not change how the query executes.
+    for trace in [TimeTrace::disabled(), TimeTrace::new()] {
+        for _ in 0..3 {
+            let run = session
+                .run(stmt.clone())
+                .backend(Arc::clone(&backend))
+                .trace(&trace)
+                .direct();
+            let mut compiled = run.compile().expect("compile");
+            results.push(
+                executor
+                    .execute(session.engine(), stmt.query(), &mut compiled)
+                    .expect("static parallel run"),
+            );
+        }
     }
-    assert_eq!(cycles[0], cycles[1]);
-    assert_eq!(cycles[1], cycles[2]);
-    assert_eq!(critical[0], critical[1]);
-    assert_eq!(critical[1], critical[2]);
+    for (i, r) in results.iter().enumerate().skip(1) {
+        assert_eq!(r.rows, results[0].rows, "run {i} rows");
+        assert_eq!(r.exec_stats, results[0].exec_stats, "run {i} exec stats");
+        assert_eq!(
+            r.critical_path_cycles, results[0].critical_path_cycles,
+            "run {i} critical path"
+        );
+    }
+    let (cycles, critical) = (
+        results[0].exec_stats.cycles,
+        results[0].critical_path_cycles,
+    );
     // With 16-row morsels spread statically over 4 workers the
     // model-time critical path is strictly shorter than the serial
     // cycle total.
     assert!(
-        critical[0] < cycles[0],
+        critical < cycles,
         "4-worker static schedule should shorten the critical path \
-         (critical {} vs total {})",
-        critical[0],
-        cycles[0]
+         (critical {critical} vs total {cycles})"
     );
 }
 

@@ -3,7 +3,7 @@
 //! home-slot traffic in DirectEmit), including 128-bit pairs that consume
 //! two registers each.
 
-use qc_backend::Backend;
+use qc_backend::{compile_module, Backend};
 use qc_engine::backends;
 use qc_ir::{FunctionBuilder, Module, Signature, Type};
 use qc_runtime::RuntimeState;
@@ -19,7 +19,9 @@ fn all_backends() -> Vec<Box<dyn Backend>> {
 fn run_all(m: &Module, args: &[u64], expected: u64) {
     qc_ir::verify_module(m).expect("verify");
     for backend in all_backends() {
-        let mut exe = backend.compile(m, &TimeTrace::disabled()).expect("compile");
+        let mut exe = compile_module(backend.as_ref(), m, &TimeTrace::disabled())
+            .and_then(|a| a.instantiate())
+            .expect("compile");
         let mut state = RuntimeState::new();
         let got = exe
             .call(&mut state, "f", args)

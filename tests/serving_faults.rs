@@ -2,14 +2,14 @@
 //! cycle/row caps, cancellation), morsel-worker panic isolation, the
 //! serving scheduler's overload shedding, runaway governor, and
 //! per-tier circuit breaker — all driven by the deterministic
-//! [`ChaosExecBackend`] so the faults land *inside* morsel execution.
+//! [`ChaosBackend`] so the faults land *inside* morsel execution.
 //!
 //! The headline acceptance test serves 1024 sessions with ~10% of
 //! morsel calls panicking: the process must survive every panic, every
 //! outcome must be accounted for in the [`ServeReport`], and every
 //! surviving result must be byte-identical to the serial reference.
 
-use qc_backend::chaos::{ChaosExecBackend, ExecFault};
+use qc_backend::chaos::{ChaosBackend, ChaosFault};
 use qc_engine::{
     backends, BreakerPolicy, CancelToken, EngineConfig, EngineError, FallbackChain, OutcomeStatus,
     QueryBudget, QueryScheduler, RunawayPolicy, SchedulerConfig, Session, SessionConfig,
@@ -208,10 +208,10 @@ fn worker_panic_is_isolated_and_result_stays_byte_identical() {
         // the contract there is containment: a typed `WorkerPanic`,
         // never a process crash.
         for nth in [0u64, 2, 5] {
-            let chaos = Arc::new(ChaosExecBackend::on_nth(
+            let chaos = Arc::new(ChaosBackend::on_nth(
                 Arc::clone(&clean),
                 nth,
-                ExecFault::Panic,
+                ChaosFault::MorselPanic,
             ));
             let backend: Arc<dyn qc_backend::Backend> = chaos.clone() as _;
             match session
@@ -262,7 +262,7 @@ fn always_panicking_execution_fails_cleanly() {
     let db = qc_storage::gen_hlike(0.02);
     let session = small_morsel_session(&db);
     let backend: Arc<dyn qc_backend::Backend> =
-        Arc::new(ChaosExecBackend::always(clean_clift(), ExecFault::Panic));
+        Arc::new(ChaosBackend::always(clean_clift(), ChaosFault::MorselPanic));
     let q = &qc_workloads::hlike_suite()[0];
     for workers in [1usize, 4] {
         let err = session
@@ -305,11 +305,11 @@ fn serving_1024_sessions_under_execution_chaos() {
     }
 
     // ~10% of morsel calls panic, on a schedule fixed by the seed.
-    let chaos = Arc::new(ChaosExecBackend::seeded(
+    let chaos = Arc::new(ChaosBackend::seeded(
         Arc::clone(&clean),
         0x5EED,
         100,
-        ExecFault::Panic,
+        ChaosFault::MorselPanic,
     ));
     let backend: Arc<dyn qc_backend::Backend> = chaos.clone() as _;
     let total = 1024usize;
@@ -461,11 +461,11 @@ fn serial_scheduler_config() -> SchedulerConfig {
 /// Counts the `main` calls the first `warmup` sessions make, so a
 /// chaos fault can be pinned to the first morsel of the next session.
 fn count_warmup_calls(db: &Database, plan: &qc_plan::PlanNode, warmup: usize) -> u64 {
-    let counter = Arc::new(ChaosExecBackend::seeded(
+    let counter = Arc::new(ChaosBackend::seeded(
         clean_clift(),
         0,
         0,
-        ExecFault::Panic,
+        ChaosFault::MorselPanic,
     ));
     let backend: Arc<dyn qc_backend::Backend> = counter.clone() as _;
     let session = small_morsel_session(db);
@@ -495,10 +495,10 @@ fn runaway_governor_kills_cycle_blowout() {
     // Session 4's first morsel call reports 100x the whole query's
     // clean cost — far past the kill factor against the EWMA built
     // from the three identical warmup sessions.
-    let chaos: Arc<dyn qc_backend::Backend> = Arc::new(ChaosExecBackend::on_nth(
+    let chaos: Arc<dyn qc_backend::Backend> = Arc::new(ChaosBackend::on_nth(
         clean_clift(),
         warmup_calls,
-        ExecFault::BurnCycles(serial_cycles.saturating_mul(100).max(1_000_000)),
+        ChaosFault::MorselBurnCycles(serial_cycles.saturating_mul(100).max(1_000_000)),
     ));
     let session = small_morsel_session(&db);
     let requests: Vec<SessionRequest> = (0..4)
@@ -548,10 +548,10 @@ fn runaway_governor_downgrades_before_killing() {
     // governor downgrades the query down the chain instead, and the
     // session still completes with correct rows (the burn lies about
     // cost, not about results).
-    let chaos: Arc<dyn qc_backend::Backend> = Arc::new(ChaosExecBackend::on_nth(
+    let chaos: Arc<dyn qc_backend::Backend> = Arc::new(ChaosBackend::on_nth(
         clean_clift(),
         warmup_calls,
-        ExecFault::BurnCycles(serial.exec_stats.cycles.saturating_mul(100).max(1_000_000)),
+        ChaosFault::MorselBurnCycles(serial.exec_stats.cycles.saturating_mul(100).max(1_000_000)),
     ));
     let session = small_morsel_session(&db);
     let requests: Vec<SessionRequest> = (0..4)
@@ -597,8 +597,10 @@ fn breaker_trips_and_reroutes_admissions_down_the_chain() {
     // Every morsel call on the primary tier traps; after two
     // consecutive execution faults the breaker opens and later
     // admissions route to the interpreter tier instead.
-    let chaos: Arc<dyn qc_backend::Backend> =
-        Arc::new(ChaosExecBackend::always(clean_clift(), ExecFault::Trap(7)));
+    let chaos: Arc<dyn qc_backend::Backend> = Arc::new(ChaosBackend::always(
+        clean_clift(),
+        ChaosFault::MorselTrap(7),
+    ));
     let session = Session::new(&db);
     let requests: Vec<SessionRequest> = (0..5)
         .map(|i| SessionRequest::new(format!("s{i}"), plan.clone()))

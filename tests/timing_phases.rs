@@ -5,27 +5,31 @@
 
 use qc_engine::{backends, Session};
 use qc_target::Isa;
-use qc_timing::TimeTrace;
+use qc_timing::{Report, TimeTrace};
 use std::sync::Arc;
 
-fn trace_for(backend: Box<dyn qc_backend::Backend>) -> qc_timing::Report {
+/// Traced compiles of one H-like query with `backend`, on the direct
+/// path and on the service path (worker fan-out, then link on the
+/// caller thread): both must record every phase, link included.
+fn trace_for(backend: Box<dyn qc_backend::Backend>) -> [(&'static str, Report); 2] {
     let db = qc_storage::gen_hlike(0.02);
     let session = Session::new(&db);
     let suite = qc_workloads::hlike_suite();
     let backend: Arc<dyn qc_backend::Backend> = Arc::from(backend);
-    let trace = TimeTrace::new();
-    session
-        .prepare(&suite[2].plan)
-        .expect("prepare")
-        .backend(backend)
-        .trace(&trace)
-        .direct()
-        .compile()
-        .expect("compile");
-    trace.report()
+    [("direct", true), ("service", false)].map(|(path, direct)| {
+        let trace = TimeTrace::new();
+        let run = session
+            .prepare(&suite[2].plan)
+            .expect("prepare")
+            .backend(Arc::clone(&backend))
+            .trace(&trace);
+        let run = if direct { run.direct() } else { run };
+        run.compile().expect("compile");
+        (path, trace.report())
+    })
 }
 
-fn assert_phases(report: &qc_timing::Report, backend: &str, expect: &[&str]) {
+fn assert_phases(report: &Report, backend: &str, expect: &[&str]) {
     for phase in expect {
         assert!(
             report.total(phase).is_some(),
@@ -41,7 +45,7 @@ fn assert_phases(report: &qc_timing::Report, backend: &str, expect: &[&str]) {
 
 /// Top-level phase fractions must account for (almost) all compile time —
 /// the breakdown figures would otherwise hide work in unlabeled gaps.
-fn assert_fractions_sum(report: &qc_timing::Report, backend: &str) {
+fn assert_fractions_sum(report: &Report, backend: &str) {
     let sum: f64 = report
         .rows()
         .iter()
@@ -56,95 +60,107 @@ fn assert_fractions_sum(report: &qc_timing::Report, backend: &str) {
 
 #[test]
 fn interpreter_phases() {
-    let r = trace_for(backends::interpreter());
-    assert_phases(&r, "Interpreter", &["bytecodegen"]);
-    assert_fractions_sum(&r, "Interpreter");
+    for (path, r) in trace_for(backends::interpreter()) {
+        let name = format!("Interpreter ({path})");
+        assert_phases(&r, &name, &["bytecodegen"]);
+        assert_fractions_sum(&r, &name);
+    }
 }
 
 #[test]
 fn direct_emit_phases_match_figure5() {
-    let r = trace_for(backends::direct_emit());
-    assert_phases(
-        &r,
-        "DirectEmit",
-        &[
-            "analysis",
-            "analysis/liveness",
-            "analysis/cfg",
-            "codegen",
-            "link",
-        ],
-    );
-    assert_fractions_sum(&r, "DirectEmit");
-    // Figure 5's headline: liveness dominates the analysis pass.
-    let liveness = r
-        .total("analysis/liveness")
-        .expect("liveness")
-        .as_secs_f64();
-    let analysis = r.total("analysis").expect("analysis").as_secs_f64();
-    assert!(
-        liveness > 0.5 * analysis,
-        "liveness is only {:.0}% of analysis",
-        100.0 * liveness / analysis
-    );
+    for (path, r) in trace_for(backends::direct_emit()) {
+        let name = format!("DirectEmit ({path})");
+        assert_phases(
+            &r,
+            &name,
+            &[
+                "analysis",
+                "analysis/liveness",
+                "analysis/cfg",
+                "codegen",
+                "link",
+            ],
+        );
+        assert_fractions_sum(&r, &name);
+        // Figure 5's headline: liveness dominates the analysis pass.
+        let liveness = r
+            .total("analysis/liveness")
+            .expect("liveness")
+            .as_secs_f64();
+        let analysis = r.total("analysis").expect("analysis").as_secs_f64();
+        assert!(
+            liveness > 0.5 * analysis,
+            "liveness is only {:.0}% of analysis",
+            100.0 * liveness / analysis
+        );
+    }
 }
 
 #[test]
 fn clift_phases_match_figure4() {
-    let r = trace_for(backends::clift(Isa::Tx64));
-    assert_phases(&r, "Clift", &["irgen", "regalloc", "emit", "finish"]);
-    assert_fractions_sum(&r, "Clift");
+    for (path, r) in trace_for(backends::clift(Isa::Tx64)) {
+        let name = format!("Clift ({path})");
+        assert_phases(&r, &name, &["irgen", "regalloc", "emit", "finish"]);
+        assert_fractions_sum(&r, &name);
+    }
 }
 
 #[test]
 fn lvm_cheap_phases_match_figure2() {
-    let r = trace_for(backends::lvm_cheap(Isa::Tx64));
-    assert_phases(
-        &r,
-        "LVM-cheap",
-        &["irgen", "isel", "regalloc", "asmprinter", "link", "irdtor"],
-    );
-    assert_fractions_sum(&r, "LVM-cheap");
-    // The paper's surprise: the AsmPrinter is a visible fraction even in
-    // cheap mode.
-    assert!(
-        r.fraction("asmprinter") > 0.05,
-        "AsmPrinter fraction too small"
-    );
+    for (path, r) in trace_for(backends::lvm_cheap(Isa::Tx64)) {
+        let name = format!("LVM-cheap ({path})");
+        assert_phases(
+            &r,
+            &name,
+            &["irgen", "isel", "regalloc", "asmprinter", "link", "irdtor"],
+        );
+        assert_fractions_sum(&r, &name);
+        // The paper's surprise: the AsmPrinter is a visible fraction even in
+        // cheap mode.
+        assert!(
+            r.fraction("asmprinter") > 0.05,
+            "AsmPrinter fraction too small"
+        );
+    }
 }
 
 #[test]
 fn lvm_opt_runs_the_pass_pipeline() {
-    let r = trace_for(backends::lvm_opt(Isa::Tx64));
-    assert_phases(
-        &r,
-        "LVM-opt",
-        &["irgen", "isel", "regalloc", "asmprinter", "link"],
-    );
-    assert_fractions_sum(&r, "LVM-opt");
+    for (path, r) in trace_for(backends::lvm_opt(Isa::Tx64)) {
+        let name = format!("LVM-opt ({path})");
+        assert_phases(
+            &r,
+            &name,
+            &["irgen", "isel", "regalloc", "asmprinter", "link"],
+        );
+        assert_fractions_sum(&r, &name);
+    }
 }
 
 #[test]
 fn cgen_phases_match_table1() {
-    let r = trace_for(backends::cgen(Isa::Tx64));
-    assert_phases(
-        &r,
-        "GCC/C",
-        &[
-            "cgen",
-            "io",
-            "cc1_parse",
-            "cc1_gimplify",
-            "cc1_optimize",
-            "cc1_codegen",
-            "as",
-            "ld",
-        ],
-    );
-    assert_fractions_sum(&r, "GCC/C");
-    // Table I: the compiler proper dominates; the linker is small.
-    let ld = r.fraction("ld");
-    assert!(ld < 0.2, "linker fraction {ld} unexpectedly large");
+    for (path, r) in trace_for(backends::cgen(Isa::Tx64)) {
+        let name = format!("GCC/C ({path})");
+        assert_phases(
+            &r,
+            &name,
+            &[
+                "cgen",
+                "io",
+                "cc1_parse",
+                "cc1_gimplify",
+                "cc1_optimize",
+                "cc1_codegen",
+                "as",
+                "ld",
+            ],
+        );
+        assert_fractions_sum(&r, &name);
+        // Table I: the compiler proper dominates; the linker is small.
+        let ld = r.fraction("ld");
+        assert!(ld < 0.2, "linker fraction {ld} unexpectedly large");
+    }
 }
 
 #[test]
